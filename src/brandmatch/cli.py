@@ -19,7 +19,6 @@ from .content_synthesis import DEFAULT_TOP_K, synthesize_document
 from .embedding import classical_mds, smacof_refine
 from .errors import (
     BrandMatchError,
-    DegenerateEmbeddingWarning,
     DuplicateUsernameError,
     EmptyCorpusError,
     MalformedFileError,
@@ -200,9 +199,9 @@ def cmd_embed_and_plot(config: RunConfig) -> int:
     distances = pairwise_distances(matrix)
     categories = tuple(p.category for p in profile_set.profiles)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateEmbeddingWarning)
+        warnings.simplefilter("always")
         initial = classical_mds(distances, row_labels=matrix.row_labels,
-                                categories=categories)
+                                categories=categories, points=matrix.values)
         refined = smacof_refine(distances, initial)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from brandmatch import embedding
 from brandmatch.cli import (
     EXIT_BAD_TARGET,
     EXIT_EMPTY_CORPUS,
@@ -190,6 +191,26 @@ def test_embed_two_profiles(tmp_path):
                  "--plot", str(tmp_path / "p.svg")])
     assert code == EXIT_OK
     assert (tmp_path / "p.svg").read_text().count('class="point"') == 1
+
+
+def test_embed_single_profile_exits_too_few_profiles(tmp_path, capsys):
+    write_profile_file(tmp_path, "a", [image_post(["dog"], [0.9])])
+    users = write_user_list(tmp_path, ["a"])
+    code = main(["embed", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "a", "--embedding", str(tmp_path / "e.tsv"),
+                 "--plot", str(tmp_path / "p.svg")])
+    assert code == EXIT_EMPTY_CORPUS
+    assert "error:" in capsys.readouterr().err
+
+
+def test_embed_jacobi_sweep_cap_warns_without_changing_exit(fixture_dir, tmp_path,
+                                                            capsys, monkeypatch):
+    monkeypatch.setattr(embedding, "_JACOBI_SWEEP_CAP", 1)
+    code = main(["embed", *_pipeline_args(fixture_dir, "--target", "dogs_brand",
+                                          "--embedding", str(tmp_path / "e.tsv"),
+                                          "--plot", str(tmp_path / "p.svg"))])
+    assert code == EXIT_OK
+    assert "warning: Jacobi stopped after 1 sweeps" in capsys.readouterr().err
 
 
 def test_embed_deterministic(fixture_dir, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,22 @@ from brandmatch import (
     DegenerateEmbeddingWarning,
     DimensionMismatchError,
     Embedding2D,
+    FixtureSpec,
     NonzeroDiagonalError,
+    SingletonSetError,
+    build_vocabulary,
     classical_mds,
+    count_vectorize,
+    generate_brand_profile,
+    generate_profile_set,
     jacobi_eigh,
     pairwise_distances,
     smacof_refine,
     stress,
+    synthesize_document,
+    tfidf_transform,
 )
+from brandmatch import embedding
 
 
 def _random_symmetric(rng, n):
@@ -54,11 +65,75 @@ def test_jacobi_on_diagonal_matrix():
 
 def test_jacobi_deterministic():
     rng = np.random.RandomState(31)
-    a = _random_symmetric(rng, 17)
-    first_vals, first_vecs = jacobi_eigh(a)
-    second_vals, second_vecs = jacobi_eigh(a)
-    assert np.array_equal(first_vals, second_vals)
-    assert np.array_equal(first_vecs, second_vecs)
+    for n in (17, 40):
+        a = _random_symmetric(rng, n)
+        first_vals, first_vecs = jacobi_eigh(a)
+        second_vals, second_vecs = jacobi_eigh(a)
+        assert np.array_equal(first_vals, second_vals)
+        assert np.array_equal(first_vecs, second_vecs)
+
+
+def _assert_matches_lapack(a):
+    """Eigenvalues to 1e-10 of the matrix norm; eigenvectors up to sign where
+    the eigenvalue is simple, and as a spanned subspace where it repeats."""
+    values, vectors = jacobi_eigh(a)
+    reference_values, reference_vectors = np.linalg.eigh(a)
+    reference_values = reference_values[::-1]
+    reference_vectors = reference_vectors[:, ::-1]
+    scale = max(np.linalg.norm(a), 1e-300)
+    assert np.abs(values - reference_values).max() <= 1e-10 * scale
+    assert np.allclose(vectors.T @ vectors, np.eye(a.shape[0]), atol=1e-10)
+    separation = 1e-6 * scale
+    start = 0
+    for stop in range(1, a.shape[0] + 1):
+        if stop < a.shape[0] and reference_values[stop - 1] - reference_values[stop] <= separation:
+            continue
+        got = vectors[:, start:stop]
+        want = reference_vectors[:, start:stop]
+        if stop - start == 1:
+            assert abs(float(got[:, 0] @ want[:, 0])) == pytest.approx(1.0, abs=1e-8)
+        else:
+            assert np.allclose(got @ got.T, want @ want.T, atol=1e-8)
+        start = stop
+
+
+def test_jacobi_matches_lapack_on_random_symmetric_matrices():
+    rng = np.random.RandomState(59)
+    for n in (1, 2, 3, 4, 5, 8, 13, 32, 47, 64, 79, 80):
+        _assert_matches_lapack(_random_symmetric(rng, n))
+
+
+def test_jacobi_matches_lapack_on_repeated_eigenvalues():
+    rng = np.random.RandomState(61)
+    for spectrum in ([5.0, 5.0, 5.0, 1.0, 1.0, -2.0, 0.0, 0.0],
+                     [3.0] * 7,
+                     [2.0, 2.0, -2.0, -2.0, 0.5]):
+        q, _ = np.linalg.qr(rng.rand(len(spectrum), len(spectrum)))
+        a = q @ np.diag(spectrum) @ q.T
+        _assert_matches_lapack((a + a.T) / 2)
+
+
+def test_jacobi_on_zero_and_diagonal_matrices():
+    for n in (1, 4, 9):
+        values, vectors = jacobi_eigh(np.zeros((n, n)))
+        assert not values.any()
+        assert np.array_equal(vectors, np.eye(n))
+    diagonal = np.diag([2.0, 5.0, 2.0, -1.0, 5.0])
+    values, vectors = jacobi_eigh(diagonal)
+    assert values.tolist() == [5.0, 5.0, 2.0, 2.0, -1.0]
+    # no rotation runs, and the stable sort keeps row order among ties
+    assert np.array_equal(vectors, np.eye(5)[:, [1, 4, 0, 2, 3]])
+
+
+def test_jacobi_warns_when_sweep_cap_reached(monkeypatch):
+    a = _random_symmetric(np.random.RandomState(67), 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jacobi_eigh(a)
+    monkeypatch.setattr(embedding, "_JACOBI_SWEEP_CAP", 1)
+    with pytest.warns(RuntimeWarning, match="off-diagonal norm"):
+        values, _ = jacobi_eigh(a)
+    assert values.shape == (12,)
 
 
 # --- stress ----------------------------------------------------------------
@@ -151,6 +226,11 @@ def test_collinear_points_second_column_vanishes():
     result = classical_mds(d)
     assert np.max(np.abs(result.coordinates[:, 1])) < 1e-6
     assert np.max(_rel_distance_error(d, result.coordinates)) < 1e-6
+    # one column of points: the V x V path has a single eigenpair, so its
+    # second column is exactly zero where B's carries rounding noise
+    from_points = classical_mds(d, points=np.array([[0.0], [1.0], [2.0]]))
+    assert not from_points.coordinates[:, 1].any()
+    assert np.abs(from_points.coordinates[:, 0] - result.coordinates[:, 0]).max() <= 1e-9
 
 
 def test_embedding_is_centered():
@@ -183,6 +263,38 @@ def test_classical_mds_input_validation():
         classical_mds(np.array([[1.0, 2.0], [2.0, 0.0]]))
     with pytest.raises(DimensionMismatchError):
         classical_mds(np.zeros((2, 3)))
+    with pytest.raises(SingletonSetError):
+        classical_mds(np.zeros((1, 1)))
+    with pytest.raises(DimensionMismatchError):
+        classical_mds(np.zeros((3, 3)), points=np.zeros((2, 1)))
+    with pytest.raises(DimensionMismatchError):
+        classical_mds(np.zeros((3, 3)), points=np.zeros(3))
+
+
+@pytest.mark.parametrize("users_per_category", [5, 20])
+def test_classical_mds_from_points_matches_distance_path(users_per_category):
+    # the `synth --brand pizza` fixtures: the demo (V >= m, distance path)
+    # and 20 per category (V < m, V x V path)
+    spec = FixtureSpec(users_per_category=users_per_category)
+    profiles = [*generate_profile_set(spec).profiles,
+                generate_brand_profile(spec, "pizza", "pizza_brand")]
+    documents = [synthesize_document(p) for p in profiles]
+    counts = count_vectorize(documents, build_vocabulary(documents))
+    for matrix in (counts, tfidf_transform(counts)):
+        m, v = matrix.values.shape
+        assert (v < m) == (users_per_category == 20)
+        d = pairwise_distances(matrix)
+        reference = classical_mds(d)
+        from_points = classical_mds(d, points=matrix.values)
+        assert np.abs(from_points.coordinates - reference.coordinates).max() <= 1e-9
+        assert from_points.stress == stress(d, from_points.coordinates)
+
+
+def test_classical_mds_identical_points_collapse_with_warning():
+    with pytest.warns(DegenerateEmbeddingWarning):
+        result = classical_mds(np.zeros((6, 6)), points=np.full((6, 3), 2.5))
+    assert not result.coordinates.any()
+    assert result.coordinates.shape == (6, 2)
 
 
 # --- SMACOF ----------------------------------------------------------------

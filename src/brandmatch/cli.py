@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -78,21 +77,6 @@ _ERROR_EXIT_CODES: tuple[tuple[type, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    user_list: Path
-    metadata_dir: Path
-    target: Optional[str] = None
-    top_k_tags: int = DEFAULT_TOP_K
-    weighting: Weighting = Weighting.COUNTS
-    k_neighbors: int = DEFAULT_K
-    image_cap: Optional[int] = DEFAULT_IMAGE_CAP
-    output: Optional[Path] = None
-    embedding_out: Optional[Path] = None
-    plot_out: Optional[Path] = None
-    export_matrix: Optional[Path] = None
-
-
 def _exit_code_for(error: BrandMatchError) -> int:
     for error_type, code in _ERROR_EXIT_CODES:
         if isinstance(error, error_type):
@@ -100,42 +84,35 @@ def _exit_code_for(error: BrandMatchError) -> int:
     return EXIT_FAILURE
 
 
-def _build_matrix(config: RunConfig) -> tuple[ProfileSet, DocTermMatrix]:
-    profile_set = load_profile_set(config.user_list, config.metadata_dir,
-                                   target_username=config.target,
-                                   image_cap=config.image_cap)
-    documents = [synthesize_document(p, top_k=config.top_k_tags)
+def _build_matrix(args: argparse.Namespace) -> tuple[ProfileSet, DocTermMatrix]:
+    profile_set = load_profile_set(args.users, args.metadata, target_username=args.target,
+                                   image_cap=args.image_cap)
+    documents = [synthesize_document(p, top_k=args.top_k_tags)
                  for p in profile_set.profiles]
     vocabulary = build_vocabulary(documents)
+    if not documents[profile_set.target_index].tokens:
+        raise UnknownTargetError(f"target {args.target!r} has no classifiable media")
     matrix = count_vectorize(documents, vocabulary)
-    if config.weighting is Weighting.TFIDF:
+    if Weighting(args.weighting) is Weighting.TFIDF:
         matrix = tfidf_transform(matrix)
-    if config.export_matrix is not None:
-        config.export_matrix.write_text(export_matrix_tsv(matrix), encoding="utf-8")
+    if args.export_matrix is not None:
+        args.export_matrix.write_text(export_matrix_tsv(matrix), encoding="utf-8")
     return profile_set, matrix
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     """Report per-profile post/image counts and schema errors; 0 iff all usable."""
-    try:
-        entries = parse_user_list(config.user_list)
-    except FileNotFoundError:
-        print(f"error: user list not found: {config.user_list}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except DuplicateUsernameError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_MALFORMED
-
+    entries = parse_user_list(args.users)
     ok_count = warning_count = error_count = 0
     vectorizable: dict[str, bool] = {}
     for username, _ in entries:
         try:
-            full = load_profile(config.metadata_dir / f"{username}.json", username)
+            full = load_profile(args.metadata / f"{username}.json", username)
         except BrandMatchError as error:
             print(f"{username}\tERROR: {error}")
             error_count += 1
             continue
-        capped = apply_image_cap(full, config.image_cap)
+        capped = apply_image_cap(full, args.image_cap)
         vectorizable[username] = capped.is_vectorizable
         if capped.is_vectorizable:
             ok_count += 1
@@ -146,12 +123,12 @@ def cmd_validate(config: RunConfig) -> int:
         print(f"{username}\tposts={len(full.posts)}\timages={capped.classifiable_post_count}"
               f"\t{status}")
 
-    if config.target is not None:
-        if config.target not in {u for u, _ in entries}:
-            print(f"{config.target}\tERROR: target not in user list")
+    if args.target is not None:
+        if args.target not in {u for u, _ in entries}:
+            print(f"{args.target}\tERROR: target not in user list")
             error_count += 1
-        elif config.target in vectorizable and not vectorizable[config.target]:
-            print(f"{config.target}\tERROR: target has no classifiable media")
+        elif args.target in vectorizable and not vectorizable[args.target]:
+            print(f"{args.target}\tERROR: target has no classifiable media")
             error_count += 1
     if vectorizable and not any(vectorizable.values()):
         print("ERROR: no profile has classifiable media; nothing to match on")
@@ -162,15 +139,14 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_OK if error_count == 0 else EXIT_FAILURE
 
 
-def cmd_match(config: RunConfig) -> int:
+def cmd_match(args: argparse.Namespace) -> int:
     """Load, synthesize, vectorize, and rank the k nearest influencers to the target."""
-    profile_set, matrix = _build_matrix(config)
-    assert profile_set.target_index is not None
+    profile_set, matrix = _build_matrix(args)
     m = len(profile_set.profiles)
-    if config.k_neighbors > m - 1:
-        print(f"warning: k={config.k_neighbors} truncated to {m - 1} "
-              f"(only {m} profiles)", file=sys.stderr)
-    result = knn_match(matrix, profile_set.target_index, k=config.k_neighbors)
+    if args.k > m - 1:
+        print(f"warning: k={args.k} truncated to {m - 1} (only {m} profiles)",
+              file=sys.stderr)
+    result = knn_match(matrix, profile_set.target_index, k=args.k)
 
     print("Target profile is:")
     print(result.target_username)
@@ -178,8 +154,8 @@ def cmd_match(config: RunConfig) -> int:
     print("Most closely related profiles are:")
     for rank, (username, distance) in enumerate(result.neighbors, start=1):
         print(f"{rank}\t{username}\t{distance:.6f}")
-    if config.output is not None:
-        config.output.write_text(result.report(), encoding="utf-8")
+    if args.output is not None:
+        args.output.write_text(result.report(), encoding="utf-8")
     return EXIT_OK
 
 
@@ -193,9 +169,9 @@ def _plot_category_order(profile_set: ProfileSet) -> tuple[str, ...]:
     return tuple(order)
 
 
-def cmd_embed_and_plot(config: RunConfig) -> int:
+def cmd_embed_and_plot(args: argparse.Namespace) -> int:
     """Embed all profiles to 2-D (classical MDS + SMACOF) and write TSV + SVG."""
-    profile_set, matrix = _build_matrix(config)
+    profile_set, matrix = _build_matrix(args)
     distances = pairwise_distances(matrix)
     categories = tuple(p.category for p in profile_set.profiles)
     with warnings.catch_warnings(record=True) as caught:
@@ -206,42 +182,39 @@ def cmd_embed_and_plot(config: RunConfig) -> int:
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
 
-    embedding_path = config.embedding_out or Path("embedding.tsv")
     lines = ["username\tcategory\tx\ty"]
     for label, category, (x, y) in zip(refined.row_labels, categories,
                                        refined.coordinates):
         lines.append(f"{label}\t{category or ''}\t{float(x)!r}\t{float(y)!r}")
-    embedding_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args.embedding.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    plot_path = config.plot_out or Path("plot.svg")
-    spec = PlotSpec(title=f"Target brand profile: {config.target}",
+    spec = PlotSpec(title=f"Target brand profile: {args.target}",
                     category_order=_plot_category_order(profile_set))
     svg = emit_scatter_svg(refined, spec, target_index=profile_set.target_index)
-    plot_path.write_text(svg, encoding="utf-8")
-    print(f"embedding written to {embedding_path}")
-    print(f"plot written to {plot_path}")
+    args.plot.write_text(svg, encoding="utf-8")
+    print(f"embedding written to {args.embedding}")
+    print(f"plot written to {args.plot}")
     return EXIT_OK
 
 
-def cmd_synth(out_dir: Path, seed: int, users_per_category: int, posts_per_user: int,
-              noise: float, brand_category: Optional[str],
-              brand_name: Optional[str]) -> int:
+def cmd_synth(args: argparse.Namespace) -> int:
     """Write a synthetic fixture: user list plus one metadata file per profile."""
-    spec = FixtureSpec(seed=seed, users_per_category=users_per_category,
-                       posts_per_user=posts_per_user, cross_category_noise=noise)
+    spec = FixtureSpec(seed=args.seed, users_per_category=args.users_per_category,
+                       posts_per_user=args.posts_per_user, cross_category_noise=args.noise)
     profiles = list(generate_profile_set(spec).profiles)
-    if brand_category is not None:
-        username = brand_name or f"{brand_category}_brand"
-        profiles.append(generate_brand_profile(spec, brand_category, username))
+    if args.brand is not None:
+        username = args.brand_name or f"{args.brand}_brand"
+        profiles.append(generate_brand_profile(spec, args.brand, username))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"# synthetic fixture: seed={seed} users_per_category={users_per_category} "
-             f"posts_per_user={posts_per_user} noise={noise}"]
+    args.out.mkdir(parents=True, exist_ok=True)
+    lines = [f"# synthetic fixture: seed={args.seed} "
+             f"users_per_category={args.users_per_category} "
+             f"posts_per_user={args.posts_per_user} noise={args.noise}"]
     for profile in profiles:
-        save_profile(profile, out_dir / f"{profile.username}.json")
+        save_profile(profile, args.out / f"{profile.username}.json")
         lines.append(f"{profile.username},{profile.category}")
-    (out_dir / "users.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(profiles)} profiles to {out_dir}")
+    (args.out / "users.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(profiles)} profiles to {args.out}")
     return EXIT_OK
 
 
@@ -263,22 +236,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser, *, with_target: boo
                         help="write the document-term matrix as TSV")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        user_list=args.users,
-        metadata_dir=args.metadata,
-        target=args.target,
-        top_k_tags=args.top_k_tags,
-        weighting=Weighting(args.weighting),
-        k_neighbors=getattr(args, "k", DEFAULT_K),
-        image_cap=args.image_cap,
-        output=getattr(args, "output", None),
-        embedding_out=getattr(args, "embedding", None),
-        plot_out=getattr(args, "plot", None),
-        export_matrix=args.export_matrix,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brandmatch",
@@ -288,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = subparsers.add_parser("validate", help="check metadata files and report")
     _add_pipeline_arguments(validate, with_target=False)
+    validate.set_defaults(run=cmd_validate)
 
     match = subparsers.add_parser("match", help="rank influencers nearest the target brand")
     _add_pipeline_arguments(match, with_target=True)
@@ -295,13 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="neighbors to report (default %(default)s)")
     match.add_argument("--output", type=Path, default=None,
                        help="write the match report to this path")
+    match.set_defaults(run=cmd_match)
 
     embed = subparsers.add_parser("embed", help="2-D MDS embedding and SVG plot")
     _add_pipeline_arguments(embed, with_target=True)
-    embed.add_argument("--embedding", type=Path, default=None,
-                       help="embedding TSV path (default embedding.tsv)")
-    embed.add_argument("--plot", type=Path, default=None,
-                       help="SVG plot path (default plot.svg)")
+    embed.add_argument("--embedding", type=Path, default=Path("embedding.tsv"),
+                       help="embedding TSV path (default %(default)s)")
+    embed.add_argument("--plot", type=Path, default=Path("plot.svg"),
+                       help="SVG plot path (default %(default)s)")
+    embed.set_defaults(run=cmd_embed_and_plot)
 
     synth = subparsers.add_parser("synth", help="generate a synthetic fixture data set")
     synth.add_argument("--out", required=True, type=Path, help="output directory")
@@ -315,23 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also generate a brand profile over this category")
     synth.add_argument("--brand-name", default=None,
                        help="brand username (default <category>_brand)")
+    synth.set_defaults(run=cmd_synth)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return cmd_validate(_config_from_args(args))
-        if args.command == "match":
-            return cmd_match(_config_from_args(args))
-        if args.command == "embed":
-            return cmd_embed_and_plot(_config_from_args(args))
-        if args.command == "synth":
-            return cmd_synth(args.out, args.seed, args.users_per_category,
-                             args.posts_per_user, args.noise, args.brand,
-                             args.brand_name)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except BrandMatchError as error:
         print(f"error: {error}", file=sys.stderr)
         return _exit_code_for(error)

@@ -91,91 +91,88 @@ class ProfileSet:
         return None if self.target_index is None else self.profiles[self.target_index]
 
 
-def _require(condition: bool, username: str, index: int, message: str) -> None:
+def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise MalformedFileError(f"{username}: post {index}: {message}")
+        raise MalformedFileError(message)
 
 
-def _parse_count(raw: object, username: str, index: int, key: str) -> int:
+def _parse_count(raw: object, key: str) -> int:
     if raw is None:
         return 0
-    _require(isinstance(raw, dict), username, index, f"{key} is not an object")
+    _require(isinstance(raw, dict), f"{key} is not an object")
     count = raw.get("count", 0)
-    _require(isinstance(count, int) and not isinstance(count, bool), username, index,
+    _require(isinstance(count, int) and not isinstance(count, bool),
              f"{key}.count is not an integer")
-    _require(count >= 0, username, index, f"{key}.count is negative")
+    _require(count >= 0, f"{key}.count is negative")
     return count
 
 
-def _parse_caption(raw: object, username: str, index: int) -> Optional[str]:
+def _parse_caption(raw: object) -> Optional[str]:
     if raw is None:
         return None
-    _require(isinstance(raw, dict), username, index, "edge_media_to_caption is not an object")
+    _require(isinstance(raw, dict), "edge_media_to_caption is not an object")
     edges = raw.get("edges", [])
-    _require(isinstance(edges, list), username, index, "caption edges is not an array")
+    _require(isinstance(edges, list), "caption edges is not an array")
     if not edges:
         return None
-    _require(isinstance(edges[0], dict), username, index, "caption edge is not an object")
-    text = edges[0].get("node", {}).get("text")
+    _require(isinstance(edges[0], dict), "caption edge is not an object")
+    node = edges[0].get("node", {})
+    _require(isinstance(node, dict), "caption node is not an object")
+    text = node.get("text")
     if text is None:
         return None
-    _require(isinstance(text, str), username, index, "caption text is not a string")
+    _require(isinstance(text, str), "caption text is not a string")
     return text
 
 
-def _parse_predictions(raw: dict, username: str, index: int) -> tuple[TagPrediction, ...]:
+def _parse_predictions(raw: dict) -> tuple[TagPrediction, ...]:
     contents = raw.get("image_contents")
     scores = raw.get("image_scores")
     if contents is None and scores is None:
         return ()
     contents = contents if contents is not None else []
     scores = scores if scores is not None else []
-    _require(isinstance(contents, list), username, index, "image_contents is not an array")
-    _require(isinstance(scores, list), username, index, "image_scores is not an array")
+    _require(isinstance(contents, list), "image_contents is not an array")
+    _require(isinstance(scores, list), "image_scores is not an array")
     if len(contents) != len(scores):
         raise ScoreLengthMismatchError(
-            f"{username}: post {index}: {len(contents)} image_contents vs {len(scores)} image_scores"
-        )
-    _require(len(contents) <= MAX_TAGS_PER_POST, username, index,
+            f"{len(contents)} image_contents vs {len(scores)} image_scores")
+    _require(len(contents) <= MAX_TAGS_PER_POST,
              f"more than {MAX_TAGS_PER_POST} image_contents")
     predictions = []
     for label, score in zip(contents, scores):
-        _require(isinstance(label, str), username, index, "image_contents entry is not a string")
-        _require(bool(label.strip()), username, index, "empty tag label")
-        _require(isinstance(score, (int, float)) and not isinstance(score, bool), username, index,
+        _require(isinstance(label, str), "image_contents entry is not a string")
+        _require(isinstance(score, (int, float)) and not isinstance(score, bool),
                  "image_scores entry is not a number")
-        _require(0.0 <= score <= 1.0, username, index, f"score {score!r} outside [0, 1]")
-        predictions.append(TagPrediction(label=label, confidence=float(score)))
+        try:
+            predictions.append(TagPrediction(label=label, confidence=float(score)))
+        except (ValueError, OverflowError) as exc:
+            raise MalformedFileError(str(exc)) from None
     for a, b in zip(predictions, predictions[1:]):
-        _require(a.confidence >= b.confidence, username, index,
-                 "image_scores not sorted non-increasing")
+        _require(a.confidence >= b.confidence, "image_scores not sorted non-increasing")
     return tuple(predictions)
 
 
-def _parse_post(raw: object, username: str, index: int) -> Post:
-    _require(isinstance(raw, dict), username, index, "post entry is not an object")
+def _parse_post(raw: object, fallback_id: str) -> Post:
+    _require(isinstance(raw, dict), "post entry is not an object")
     is_video = raw.get("is_video", False)
-    _require(isinstance(is_video, bool), username, index, "is_video is not a boolean")
+    _require(isinstance(is_video, bool), "is_video is not a boolean")
 
     urls = raw.get("urls", [])
     _require(isinstance(urls, list) and all(isinstance(u, str) for u in urls),
-             username, index, "urls is not an array of strings")
-    post_id = urls[0].rsplit("/", 1)[-1] if urls else f"post-{index}"
+             "urls is not an array of strings")
+    post_id = urls[0].rsplit("/", 1)[-1] if urls else fallback_id
 
     hashtags = raw.get("tags", [])
     _require(isinstance(hashtags, list) and all(isinstance(t, str) for t in hashtags),
-             username, index, "tags is not an array of strings")
-
-    predictions = () if is_video else _parse_predictions(raw, username, index)
+             "tags is not an array of strings")
 
     return Post(
         id=post_id,
-        tag_predictions=predictions,
-        like_count=_parse_count(raw.get("edge_media_preview_like"), username, index,
-                                "edge_media_preview_like"),
-        comment_count=_parse_count(raw.get("edge_media_to_comment"), username, index,
-                                   "edge_media_to_comment"),
-        caption=_parse_caption(raw.get("edge_media_to_caption"), username, index),
+        tag_predictions=() if is_video else _parse_predictions(raw),
+        like_count=_parse_count(raw.get("edge_media_preview_like"), "edge_media_preview_like"),
+        comment_count=_parse_count(raw.get("edge_media_to_comment"), "edge_media_to_comment"),
+        caption=_parse_caption(raw.get("edge_media_to_caption")),
         hashtags=tuple(hashtags),
         is_video=is_video,
     )
@@ -209,19 +206,34 @@ def load_profile(path: str | Path, username: str,
             data = json.load(handle)
     except FileNotFoundError:
         raise MissingProfileFileError(f"{username}: no metadata file at {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedFileError(f"{username}: invalid JSON in {path}: {exc}") from None
     if not isinstance(data, list):
         raise MalformedFileError(f"{username}: {path} does not hold a JSON array")
-    posts = tuple(_parse_post(raw, username, i) for i, raw in enumerate(data))
-    return apply_image_cap(Profile(username=username, posts=posts), image_cap)
+    posts = []
+    for i, raw in enumerate(data):
+        try:
+            posts.append(_parse_post(raw, f"post-{i}"))
+        except (MalformedFileError, ScoreLengthMismatchError) as exc:
+            raise type(exc)(f"{username}: post {i}: {exc}") from None
+    return apply_image_cap(Profile(username=username, posts=tuple(posts)), image_cap)
 
 
 def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
-    """Read ``username[,category]`` lines; ``#`` comments and blank lines are skipped."""
+    """Read ``username[,category]`` lines; ``#`` comments and blank lines are skipped.
+
+    Raises MissingProfileFileError when the file is absent, MalformedFileError
+    when it is not UTF-8, and DuplicateUsernameError for a repeated username.
+    """
     entries: list[tuple[str, Optional[str]]] = []
     seen: set[str] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise MissingProfileFileError(f"user list not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"user list {path} is not UTF-8: {exc}") from None
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ class Vocabulary:
 
     index_to_token: tuple[str, ...]
 
-    @property
+    @cached_property
     def token_to_index(self) -> dict[str, int]:
         return {token: i for i, token in enumerate(self.index_to_token)}
 

@@ -263,3 +263,75 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+def _output_args(command, directory):
+    if command != "embed":
+        return []
+    return ["--embedding", str(directory / "e.tsv"), "--plot", str(directory / "p.svg")]
+
+
+def _single_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def test_missing_user_list_same_message_for_every_command(tmp_path, capsys):
+    missing = tmp_path / "nope.txt"
+    for command in ("validate", "match", "embed"):
+        code = main([command, "--users", str(missing), "--metadata", str(tmp_path),
+                     "--target", "a", *_output_args(command, tmp_path)])
+        assert code == EXIT_MISSING_INPUT
+        assert (_single_error_line(capsys.readouterr().err)
+                == f"error: user list not found: {missing}")
+
+
+def test_user_list_not_utf8_exits_malformed(tmp_path, capsys):
+    write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
+    users = tmp_path / "users.txt"
+    users.write_bytes(b"\xff\xfe bad\n")
+    for command in ("validate", "match"):
+        code = main([command, "--users", str(users), "--metadata", str(tmp_path),
+                     "--target", "alice"])
+        assert code == EXIT_MALFORMED
+        assert "not UTF-8" in _single_error_line(capsys.readouterr().err)
+
+
+def test_caption_node_not_an_object_exits_malformed(tmp_path, capsys):
+    post = image_post(["dog"], [0.9])
+    post["edge_media_to_caption"] = {"edges": [{"node": "just text"}]}
+    write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
+    write_profile_file(tmp_path, "bob", [image_post(["cat"], [0.9]), post])
+    users = write_user_list(tmp_path, ["alice", "bob"])
+    code = main(["match", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "alice"])
+    assert code == EXIT_MALFORMED
+    assert (_single_error_line(capsys.readouterr().err)
+            == "error: bob: post 1: caption node is not an object")
+
+
+def test_deeply_nested_metadata_exits_malformed(tmp_path, capsys):
+    write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
+    (tmp_path / "deep.json").write_text("[" * 200_000, encoding="utf-8")
+    users = write_user_list(tmp_path, ["alice", "deep"])
+    code = main(["match", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "alice"])
+    assert code == EXIT_MALFORMED
+    assert _single_error_line(capsys.readouterr().err).startswith("error: deep: invalid JSON")
+
+
+@pytest.mark.parametrize("command", ["match", "embed"])
+def test_target_without_classifiable_media_exits_bad_target(command, tmp_path, capsys):
+    write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
+    write_profile_file(tmp_path, "bob", [image_post(["cat"], [0.8])])
+    write_profile_file(tmp_path, "clips", [video_post()])
+    users = write_user_list(tmp_path, ["alice", "bob", "clips"])
+    code = main([command, "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "clips", *_output_args(command, tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_TARGET
+    assert (_single_error_line(captured.err)
+            == "error: target 'clips' has no classifiable media")
+    assert captured.out == ""
+    assert not (tmp_path / "e.tsv").exists() and not (tmp_path / "p.svg").exists()

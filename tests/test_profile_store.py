@@ -92,6 +92,38 @@ def test_scores_must_be_sorted_non_increasing(tmp_path):
         load_profile(tmp_path / "u.json", "u")
 
 
+def test_post_errors_name_user_and_post_once(tmp_path):
+    cases = [
+        ({"image_contents": ["  "], "image_scores": [0.5]}, MalformedFileError,
+         "tag label is empty"),
+        ({"image_contents": ["dog"], "image_scores": [1.5]}, MalformedFileError,
+         "confidence 1.5 outside [0, 1]"),
+        ({"image_contents": ["dog"], "image_scores": [10 ** 400]}, MalformedFileError,
+         "too large"),
+        ({"image_contents": ["dog"], "image_scores": [True]}, MalformedFileError,
+         "image_scores entry is not a number"),
+        ({"edge_media_to_comment": {"count": -1}}, MalformedFileError,
+         "edge_media_to_comment.count is negative"),
+        ({"image_contents": ["dog", "cat"], "image_scores": [0.5]}, ScoreLengthMismatchError,
+         "2 image_contents vs 1 image_scores"),
+    ]
+    for bad_post, error_type, detail in cases:
+        write_profile_file(tmp_path, "u", [image_post(["dog"], [0.9]), bad_post])
+        with pytest.raises(error_type) as excinfo:
+            load_profile(tmp_path / "u.json", "u")
+        message = str(excinfo.value)
+        assert message.startswith("u: post 1: ") and message.count("post 1") == 1
+        assert detail in message
+
+
+def test_user_list_errors(tmp_path):
+    with pytest.raises(MissingProfileFileError, match="user list not found"):
+        parse_user_list(tmp_path / "nope.txt")
+    (tmp_path / "users.txt").write_bytes(b"\xff\xfe bad\n")
+    with pytest.raises(MalformedFileError, match="not UTF-8"):
+        parse_user_list(tmp_path / "users.txt")
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(MissingProfileFileError):
         load_profile(tmp_path / "nobody.json", "nobody")

@@ -40,6 +40,14 @@ def test_vocabulary_single_doc_dedupes():
     assert vocab.token_to_index == {"aa": 0, "zz": 1}
 
 
+def test_token_to_index_built_once():
+    vocab = build_vocabulary(_docs(["bb", "aa"]))
+    assert vocab.token_to_index is vocab.token_to_index
+    assert vocab.token_to_index == {"aa": 0, "bb": 1}
+    assert "aa" in vocab and "cc" not in vocab
+    assert vocab == build_vocabulary(_docs(["aa", "bb"]))
+
+
 def test_vocabulary_empty_corpus():
     with pytest.raises(EmptyCorpusError):
         build_vocabulary(_docs([], []))

@@ -41,6 +41,7 @@ from .profile_store import (
     DEFAULT_IMAGE_CAP,
     ProfileSet,
     apply_image_cap,
+    check_username,
     load_profile,
     load_profile_set,
     parse_user_list,
@@ -204,6 +205,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     profiles = list(generate_profile_set(spec).profiles)
     if args.brand is not None:
         username = args.brand_name or f"{args.brand}_brand"
+        check_username(username)
         profiles.append(generate_brand_profile(spec, args.brand, username))
 
     args.out.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,7 @@ classified. See FORMATS.md for the full schema.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -91,91 +92,38 @@ class ProfileSet:
         return None if self.target_index is None else self.profiles[self.target_index]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise MalformedFileError(message)
-
-
 def _parse_count(raw: object, key: str) -> int:
     if raw is None:
         return 0
-    _require(isinstance(raw, dict), f"{key} is not an object")
+    if type(raw) is not dict:
+        raise MalformedFileError(f"{key} is not an object")
     count = raw.get("count", 0)
-    _require(isinstance(count, int) and not isinstance(count, bool),
-             f"{key}.count is not an integer")
-    _require(count >= 0, f"{key}.count is negative")
+    if type(count) is not int:
+        raise MalformedFileError(f"{key}.count is not an integer")
+    if count < 0:
+        raise MalformedFileError(f"{key}.count is negative")
     return count
 
 
 def _parse_caption(raw: object) -> Optional[str]:
     if raw is None:
         return None
-    _require(isinstance(raw, dict), "edge_media_to_caption is not an object")
+    if type(raw) is not dict:
+        raise MalformedFileError("edge_media_to_caption is not an object")
     edges = raw.get("edges", [])
-    _require(isinstance(edges, list), "caption edges is not an array")
+    if type(edges) is not list:
+        raise MalformedFileError("caption edges is not an array")
     if not edges:
         return None
-    _require(isinstance(edges[0], dict), "caption edge is not an object")
+    if type(edges[0]) is not dict:
+        raise MalformedFileError("caption edge is not an object")
     node = edges[0].get("node", {})
-    _require(isinstance(node, dict), "caption node is not an object")
+    if type(node) is not dict:
+        raise MalformedFileError("caption node is not an object")
     text = node.get("text")
-    if text is None:
-        return None
-    _require(isinstance(text, str), "caption text is not a string")
+    if text is not None and type(text) is not str:
+        raise MalformedFileError("caption text is not a string")
     return text
-
-
-def _parse_predictions(raw: dict) -> tuple[TagPrediction, ...]:
-    contents = raw.get("image_contents")
-    scores = raw.get("image_scores")
-    if contents is None and scores is None:
-        return ()
-    contents = contents if contents is not None else []
-    scores = scores if scores is not None else []
-    _require(isinstance(contents, list), "image_contents is not an array")
-    _require(isinstance(scores, list), "image_scores is not an array")
-    if len(contents) != len(scores):
-        raise ScoreLengthMismatchError(
-            f"{len(contents)} image_contents vs {len(scores)} image_scores")
-    _require(len(contents) <= MAX_TAGS_PER_POST,
-             f"more than {MAX_TAGS_PER_POST} image_contents")
-    predictions = []
-    for label, score in zip(contents, scores):
-        _require(isinstance(label, str), "image_contents entry is not a string")
-        _require(isinstance(score, (int, float)) and not isinstance(score, bool),
-                 "image_scores entry is not a number")
-        try:
-            predictions.append(TagPrediction(label=label, confidence=float(score)))
-        except (ValueError, OverflowError) as exc:
-            raise MalformedFileError(str(exc)) from None
-    for a, b in zip(predictions, predictions[1:]):
-        _require(a.confidence >= b.confidence, "image_scores not sorted non-increasing")
-    return tuple(predictions)
-
-
-def _parse_post(raw: object, fallback_id: str) -> Post:
-    _require(isinstance(raw, dict), "post entry is not an object")
-    is_video = raw.get("is_video", False)
-    _require(isinstance(is_video, bool), "is_video is not a boolean")
-
-    urls = raw.get("urls", [])
-    _require(isinstance(urls, list) and all(isinstance(u, str) for u in urls),
-             "urls is not an array of strings")
-    post_id = urls[0].rsplit("/", 1)[-1] if urls else fallback_id
-
-    hashtags = raw.get("tags", [])
-    _require(isinstance(hashtags, list) and all(isinstance(t, str) for t in hashtags),
-             "tags is not an array of strings")
-
-    return Post(
-        id=post_id,
-        tag_predictions=() if is_video else _parse_predictions(raw),
-        like_count=_parse_count(raw.get("edge_media_preview_like"), "edge_media_preview_like"),
-        comment_count=_parse_count(raw.get("edge_media_to_comment"), "edge_media_to_comment"),
-        caption=_parse_caption(raw.get("edge_media_to_caption")),
-        hashtags=tuple(hashtags),
-        is_video=is_video,
-    )
 
 
 def apply_image_cap(profile: Profile, image_cap: Optional[int]) -> Profile:
@@ -197,49 +145,144 @@ def load_profile(path: str | Path, username: str,
                  image_cap: Optional[int] = None) -> Profile:
     """Parse one metadata file into a Profile, preserving file order of posts.
 
-    Raises MalformedFileError for structural problems, ScoreLengthMismatchError
-    when tag labels and scores disagree in length. Unknown keys are ignored.
+    Every post is checked, including those the cap drops; the result equals
+    ``apply_image_cap(load_profile(path, username), image_cap)``. Raises
+    ValueError for an ``image_cap`` below 1, MissingProfileFileError when
+    ``path`` is not a file, MalformedFileError for structural problems, and
+    ScoreLengthMismatchError when tag labels and scores disagree in length.
+    Unknown keys are ignored.
     """
+    if image_cap is not None and image_cap < 1:
+        raise ValueError("image_cap must be a positive integer")
     path = Path(path)
+    # A JSON tree and the frozen records built from it hold no reference cycles,
+    # so reference counting frees them as before. Without the pause, the cyclic
+    # collector runs a few times per file, and its full collections rescan
+    # every profile already loaded.
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise MissingProfileFileError(f"{username}: no metadata file at {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise MalformedFileError(f"{username}: invalid JSON in {path}: {exc}") from None
-    if not isinstance(data, list):
-        raise MalformedFileError(f"{username}: {path} does not hold a JSON array")
-    posts = []
-    for i, raw in enumerate(data):
         try:
-            posts.append(_parse_post(raw, f"post-{i}"))
+            with path.open("r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (FileNotFoundError, NotADirectoryError):
+            raise MissingProfileFileError(f"{username}: no metadata file at {path}") from None
+        except IsADirectoryError:
+            raise MissingProfileFileError(f"{username}: {path} is a directory, "
+                                          "not a metadata file") from None
+        except (ValueError, RecursionError) as exc:
+            raise MalformedFileError(f"{username}: invalid JSON in {path}: {exc}") from None
+        if type(data) is not list:
+            raise MalformedFileError(f"{username}: {path} does not hold a JSON array")
+
+        posts = []
+        try:
+            for i, raw in enumerate(data):
+                if type(raw) is not dict:
+                    raise MalformedFileError("post entry is not an object")
+                is_video = raw.get("is_video", False)
+                if type(is_video) is not bool:
+                    raise MalformedFileError("is_video is not a boolean")
+                urls = raw.get("urls", [])
+                if type(urls) is not list:
+                    raise MalformedFileError("urls is not an array of strings")
+                for url in urls:
+                    if type(url) is not str:
+                        raise MalformedFileError("urls is not an array of strings")
+                hashtags = raw.get("tags", [])
+                if type(hashtags) is not list:
+                    raise MalformedFileError("tags is not an array of strings")
+                for hashtag in hashtags:
+                    if type(hashtag) is not str:
+                        raise MalformedFileError("tags is not an array of strings")
+
+                predictions = []
+                contents = None if is_video else raw.get("image_contents")
+                scores = None if is_video else raw.get("image_scores")
+                if contents is not None or scores is not None:
+                    if contents is None:
+                        contents = []
+                    if scores is None:
+                        scores = []
+                    if type(contents) is not list:
+                        raise MalformedFileError("image_contents is not an array")
+                    if type(scores) is not list:
+                        raise MalformedFileError("image_scores is not an array")
+                    if len(contents) != len(scores):
+                        raise ScoreLengthMismatchError(
+                            f"{len(contents)} image_contents vs {len(scores)} image_scores")
+                    if len(contents) > MAX_TAGS_PER_POST:
+                        raise MalformedFileError(
+                            f"more than {MAX_TAGS_PER_POST} image_contents")
+                    for label, score in zip(contents, scores):
+                        if type(label) is not str:
+                            raise MalformedFileError("image_contents entry is not a string")
+                        if type(score) is not float and type(score) is not int:
+                            raise MalformedFileError("image_scores entry is not a number")
+                        # TagPrediction alone checks blank labels and the [0, 1] range.
+                        predictions.append(TagPrediction(label, float(score)))
+                    if scores != sorted(scores, reverse=True):
+                        raise MalformedFileError("image_scores not sorted non-increasing")
+
+                like_count = _parse_count(raw.get("edge_media_preview_like"),
+                                          "edge_media_preview_like")
+                comment_count = _parse_count(raw.get("edge_media_to_comment"),
+                                             "edge_media_to_comment")
+                caption = _parse_caption(raw.get("edge_media_to_caption"))
+                if image_cap is None or (not is_video and len(posts) < image_cap):
+                    posts.append(Post(
+                        urls[0].rsplit("/", 1)[-1] if urls else f"post-{i}",
+                        tuple(predictions), like_count, comment_count, caption,
+                        tuple(hashtags), is_video))
         except (MalformedFileError, ScoreLengthMismatchError) as exc:
             raise type(exc)(f"{username}: post {i}: {exc}") from None
-    return apply_image_cap(Profile(username=username, posts=tuple(posts)), image_cap)
+        except (ValueError, OverflowError) as exc:  # from TagPrediction, or float() of a huge int
+            raise MalformedFileError(f"{username}: post {i}: {exc}") from None
+        return Profile(username=username, posts=tuple(posts))
+    finally:
+        if collector_was_enabled:
+            gc.enable()
+
+
+def check_username(username: str) -> None:
+    """Raise ValueError unless ``username`` can name a file in the metadata directory.
+
+    It names ``<metadata>/<username>.json`` and one field of a TSV line, so it
+    must not be empty, ``.`` or ``..``, nor contain ``/``, ``\\``, NUL, tab, CR or LF.
+    """
+    if username in ("", ".", "..") or any(c in username for c in "/\\\0\t\r\n"):
+        raise ValueError(f"invalid username {username!r}: it must not be empty, '.' or '..', "
+                         "nor contain '/', '\\', NUL, tab, CR or LF")
 
 
 def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
     """Read ``username[,category]`` lines; ``#`` comments and blank lines are skipped.
 
-    Raises MissingProfileFileError when the file is absent, MalformedFileError
-    when it is not UTF-8, and DuplicateUsernameError for a repeated username.
+    Raises MissingProfileFileError when the file is absent or is a directory,
+    MalformedFileError when it is not UTF-8 or a username breaks the
+    ``check_username`` rule, and DuplicateUsernameError for a repeated username.
     """
     entries: list[tuple[str, Optional[str]]] = []
     seen: set[str] = set()
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise MissingProfileFileError(f"user list not found: {path}") from None
+    except IsADirectoryError:
+        raise MissingProfileFileError(f"user list {path} is a directory") from None
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"user list {path} is not UTF-8: {exc}") from None
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         username, _, category = line.partition(",")
         username = username.strip()
         category = category.strip() or None
+        try:
+            check_username(username)
+        except ValueError as exc:
+            raise MalformedFileError(f"user list {path} line {number}: {exc}") from None
         if username in seen:
             raise DuplicateUsernameError(f"duplicate username in user list: {username}")
         seen.add(username)

@@ -335,3 +335,81 @@ def test_target_without_classifiable_media_exits_bad_target(command, tmp_path, c
             == "error: target 'clips' has no classifiable media")
     assert captured.out == ""
     assert not (tmp_path / "e.tsv").exists() and not (tmp_path / "p.svg").exists()
+
+
+def test_integer_literal_past_the_conversion_limit_exits_malformed(tmp_path, capsys):
+    write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
+    (tmp_path / "huge.json").write_text(
+        '[{"edge_media_preview_like": {"count": ' + "9" * 5000 + "}}]", encoding="utf-8")
+    users = write_user_list(tmp_path, ["alice", "huge"])
+    code = main(["match", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "alice"])
+    assert code == EXIT_MALFORMED
+    assert _single_error_line(capsys.readouterr().err).startswith(
+        f"error: huge: invalid JSON in {tmp_path / 'huge.json'}: ")
+
+
+def test_directory_given_as_user_list_exits_missing_input(tmp_path, capsys):
+    for command in ("validate", "match", "embed"):
+        code = main([command, "--users", str(tmp_path), "--metadata", str(tmp_path),
+                     "--target", "a", *_output_args(command, tmp_path)])
+        assert code == EXIT_MISSING_INPUT
+        assert (_single_error_line(capsys.readouterr().err)
+                == f"error: user list {tmp_path} is a directory")
+
+
+def test_directory_given_as_metadata_file(tmp_path, capsys):
+    write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
+    write_profile_file(tmp_path, "bob", [image_post(["cat"], [0.8])])
+    (tmp_path / "carol.json").mkdir()
+    users = write_user_list(tmp_path, ["alice", "bob", "carol"])
+    message = f"carol: {tmp_path / 'carol.json'} is a directory, not a metadata file"
+    for command in ("match", "embed"):
+        code = main([command, "--users", str(users), "--metadata", str(tmp_path),
+                     "--target", "alice", *_output_args(command, tmp_path)])
+        assert code == EXIT_MISSING_INPUT
+        assert _single_error_line(capsys.readouterr().err) == f"error: {message}"
+    code = main(["validate", "--users", str(users), "--metadata", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == EXIT_FAILURE
+    assert out[2] == f"carol\tERROR: {message}"
+    assert out[-1] == "validated 3 profiles: 2 ok, 0 warnings, 1 errors"
+
+
+def test_file_given_as_metadata_directory_exits_missing_input(tmp_path, capsys):
+    users = write_user_list(tmp_path, ["alice"])
+    code = main(["match", "--users", str(users), "--metadata", str(users),
+                 "--target", "alice"])
+    assert code == EXIT_MISSING_INPUT
+    assert (_single_error_line(capsys.readouterr().err)
+            == f"error: alice: no metadata file at {users / 'alice.json'}")
+
+
+@pytest.mark.parametrize("username", ["../outside/evil", "sub/evil", "back\\slash", ".", "..",
+                                      "", "tab\there", "nul\0here"])
+def test_user_list_rejects_names_outside_the_metadata_directory(username, tmp_path, capsys):
+    metadata = tmp_path / "metadata"
+    for directory in (metadata / "sub", tmp_path / "outside"):
+        directory.mkdir(parents=True)
+        write_profile_file(directory, "evil", [image_post(["dog"], [0.9])])
+    write_profile_file(metadata, "alice", [image_post(["dog"], [0.9])])
+    users = tmp_path / "users.txt"
+    users.write_text(f"# list\nalice,dogs\n{username},dogs\n", encoding="utf-8")
+    for command in ("validate", "match"):
+        code = main([command, "--users", str(users), "--metadata", str(metadata),
+                     "--target", "alice"])
+        captured = capsys.readouterr()
+        assert code == EXIT_MALFORMED
+        assert captured.out == ""
+        assert _single_error_line(captured.err).startswith(
+            f"error: user list {users} line 3: invalid username {username!r}")
+
+
+@pytest.mark.parametrize("brand_name", ["../escaped", "a/b", "..", "tab\there"])
+def test_synth_brand_name_must_be_a_username(brand_name, tmp_path, capsys):
+    out = tmp_path / "fixture"
+    code = main(["synth", "--out", str(out), "--brand", "dogs", "--brand-name", brand_name])
+    assert code == 2
+    assert _single_error_line(capsys.readouterr().err).startswith(
+        f"error: invalid username {brand_name!r}")
+    assert list(tmp_path.iterdir()) == []

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brandmatch import (
+    BrandMatchError,
     DuplicateUsernameError,
     MalformedFileError,
     MissingProfileFileError,
@@ -21,6 +25,7 @@ from brandmatch import (
     save_profile,
     serialize_profile,
 )
+from brandmatch.cli import EXIT_MALFORMED, main
 from helpers import image_post, video_post, write_profile_file, write_user_list
 
 
@@ -155,6 +160,113 @@ def test_load_respects_image_cap(tmp_path):
     profile = load_profile(tmp_path / "u.json", "u", image_cap=2)
     assert len(profile.posts) == 2
     assert all(not p.is_video for p in profile.posts)
+
+
+def test_malformed_post_after_the_cap_still_raises(tmp_path, capsys):
+    posts = [image_post([f"tag{i}"], [0.5]) for i in range(200)]
+    posts[180]["image_scores"] = [1.5]
+    write_profile_file(tmp_path, "u", posts)
+    with pytest.raises(MalformedFileError) as excinfo:
+        load_profile(tmp_path / "u.json", "u", image_cap=50)
+    assert str(excinfo.value) == "u: post 180: confidence 1.5 outside [0, 1]"
+
+    write_profile_file(tmp_path, "brand", [image_post(["tag1"], [0.9])])
+    users = write_user_list(tmp_path, ["brand", "u"])
+    code = main(["match", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "brand", "--image-cap", "50"])
+    assert code == EXIT_MALFORMED
+    assert capsys.readouterr().err == "error: u: post 180: confidence 1.5 outside [0, 1]\n"
+
+
+def test_capped_load_equals_cap_applied_to_full_load(tmp_path):
+    posts = [video_post(), image_post(["dog", "cat"], [0.9, 0.1], caption="first"),
+             video_post(likes=9), image_post(["pug"], [0.4], tags=["#pug"]),
+             image_post([], []), video_post(), image_post(["car"], [1.0], comments=0)]
+    write_profile_file(tmp_path, "u", posts)
+    full = load_profile(tmp_path / "u.json", "u")
+    assert len(full.posts) == len(posts)
+    for image_cap in (1, 3, len(posts) + 1):
+        capped = load_profile(tmp_path / "u.json", "u", image_cap=image_cap)
+        assert capped == apply_image_cap(full, image_cap)
+    assert len(load_profile(tmp_path / "u.json", "u", image_cap=3).posts) == 3
+
+
+def test_load_restores_the_cyclic_collector_state(tmp_path):
+    write_profile_file(tmp_path, "good", [image_post(["dog"], [0.9])])
+    write_profile_file(tmp_path, "bad", [image_post(["dog"], [1.5])])
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_profile(tmp_path / "good.json", "good", image_cap=1)
+            assert gc.isenabled() is enabled
+            with pytest.raises(MalformedFileError):
+                load_profile(tmp_path / "bad.json", "bad")
+            assert gc.isenabled() is enabled
+            with pytest.raises(MissingProfileFileError):
+                load_profile(tmp_path / "nobody.json", "nobody")
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_image_cap_below_one_rejected(tmp_path):
+    write_profile_file(tmp_path, "u", [image_post(["dog"], [0.9])])
+    users = write_user_list(tmp_path, ["u"])
+    for image_cap in (0, -1):
+        with pytest.raises(ValueError, match="image_cap must be a positive integer"):
+            load_profile(tmp_path / "u.json", "u", image_cap=image_cap)
+        with pytest.raises(ValueError, match="image_cap must be a positive integer"):
+            load_profile_set(users, tmp_path, image_cap=image_cap)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=10)
+_count = st.fixed_dictionaries({}, optional={"count": st.integers(-1, 10 ** 6)})
+_caption = st.fixed_dictionaries({}, optional={"edges": st.lists(st.fixed_dictionaries(
+    {}, optional={"node": st.fixed_dictionaries({}, optional={"text": st.text(max_size=6)})}),
+    max_size=2)})
+_predictions = st.lists(st.tuples(st.text(max_size=6), st.floats(0.0, 1.0)), max_size=5).map(
+    lambda pairs: sorted(pairs, key=lambda pair: -pair[1]))
+_well_typed_posts = st.tuples(st.fixed_dictionaries({}, optional={
+    "is_video": st.booleans(),
+    "urls": st.lists(st.text(max_size=6), max_size=2),
+    "tags": st.lists(st.text(max_size=6), max_size=3),
+    "edge_media_preview_like": _count,
+    "edge_media_to_comment": _count,
+    "edge_media_to_caption": _caption,
+}), st.none() | _predictions).map(lambda drawn: drawn[0] if drawn[1] is None else {
+    **drawn[0], "image_contents": [label for label, _ in drawn[1]],
+    "image_scores": [score for _, score in drawn[1]]})
+# A well-typed post with one field replaced by any JSON value reaches every check.
+_posts = _well_typed_posts | st.tuples(
+    _well_typed_posts,
+    st.sampled_from(["is_video", "urls", "tags", "image_contents", "image_scores",
+                     "edge_media_preview_like", "edge_media_to_comment",
+                     "edge_media_to_caption"]),
+    _json_values).map(lambda drawn: {**drawn[0], drawn[1]: drawn[2]})
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.lists(_posts, max_size=6) | st.lists(_posts | _json_values, max_size=4)
+       | _json_values,
+       image_cap=st.sampled_from([None, 1, 3]))
+def test_any_json_value_loads_or_raises_a_package_error(property_dir, value, image_cap):
+    path = property_dir / "u.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    try:
+        profile = load_profile(path, "u", image_cap=image_cap)
+    except BrandMatchError:
+        return
+    assert profile == apply_image_cap(load_profile(path, "u"), image_cap)
 
 
 def test_user_list_parsing(tmp_path):

@@ -11,15 +11,14 @@ __version__ = "0.1.0"
 from .content_synthesis import ContentDocument, synthesize_document, tokenize
 from .embedding import Embedding2D, classical_mds, jacobi_eigh, smacof_refine, stress
 from .errors import (
-    AsymmetricInputError,
     BrandMatchError,
     DegenerateEmbeddingWarning,
     DimensionMismatchError,
     DuplicateUsernameError,
     EmptyCorpusError,
+    InvalidDistanceMatrixError,
     MalformedFileError,
     MissingProfileFileError,
-    NonzeroDiagonalError,
     OverlappingPoolsError,
     ScoreLengthMismatchError,
     SingletonSetError,
@@ -59,7 +58,6 @@ from .vectorizer import (
 from .visualization import PALETTE, PlotSpec, emit_scatter_svg
 
 __all__ = [
-    "AsymmetricInputError",
     "BrandMatchError",
     "ContentDocument",
     "DEFAULT_CATEGORIES",
@@ -70,10 +68,10 @@ __all__ = [
     "Embedding2D",
     "EmptyCorpusError",
     "FixtureSpec",
+    "InvalidDistanceMatrixError",
     "MalformedFileError",
     "MatchResult",
     "MissingProfileFileError",
-    "NonzeroDiagonalError",
     "OverlappingPoolsError",
     "PALETTE",
     "PlotSpec",

@@ -16,15 +16,16 @@ from typing import Optional
 from . import __version__
 from .content_synthesis import DEFAULT_TOP_K, synthesize_document
 from .embedding import classical_mds, smacof_refine
+# Every exit code is imported, also those unused here, so callers can take them from here.
 from .errors import (
+    EXIT_BAD_TARGET,
+    EXIT_EMPTY_CORPUS,
+    EXIT_FAILURE,
+    EXIT_MALFORMED,
+    EXIT_MISSING_INPUT,
+    EXIT_OK,
+    EXIT_USAGE,
     BrandMatchError,
-    DuplicateUsernameError,
-    EmptyCorpusError,
-    MalformedFileError,
-    MissingProfileFileError,
-    ScoreLengthMismatchError,
-    SingletonSetError,
-    TargetOutOfRangeError,
     UnknownTargetError,
 )
 from .fixtures import (
@@ -39,6 +40,7 @@ from .fixtures import (
 from .matcher import DEFAULT_K, knn_match, pairwise_distances
 from .profile_store import (
     DEFAULT_IMAGE_CAP,
+    Profile,
     ProfileSet,
     apply_image_cap,
     check_username,
@@ -56,34 +58,6 @@ from .vectorizer import (
     tfidf_transform,
 )
 from .visualization import PlotSpec, emit_scatter_svg
-
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_USAGE = 2
-EXIT_MISSING_INPUT = 3
-EXIT_MALFORMED = 4
-EXIT_BAD_TARGET = 5
-EXIT_EMPTY_CORPUS = 6
-
-_ERROR_EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (MissingProfileFileError, EXIT_MISSING_INPUT),
-    (MalformedFileError, EXIT_MALFORMED),
-    (ScoreLengthMismatchError, EXIT_MALFORMED),
-    (DuplicateUsernameError, EXIT_MALFORMED),
-    (UnknownTargetError, EXIT_BAD_TARGET),
-    (TargetOutOfRangeError, EXIT_BAD_TARGET),
-    (EmptyCorpusError, EXIT_EMPTY_CORPUS),
-    (SingletonSetError, EXIT_EMPTY_CORPUS),
-    (BrandMatchError, EXIT_FAILURE),
-)
-
-
-def _exit_code_for(error: BrandMatchError) -> int:
-    for error_type, code in _ERROR_EXIT_CODES:
-        if isinstance(error, error_type):
-            return code
-    return EXIT_FAILURE
-
 
 def _build_matrix(args: argparse.Namespace) -> tuple[ProfileSet, DocTermMatrix]:
     profile_set = load_profile_set(args.users, args.metadata, target_username=args.target,
@@ -105,7 +79,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     """Report per-profile post/image counts and schema errors; 0 iff all usable."""
     entries = parse_user_list(args.users)
     ok_count = warning_count = error_count = 0
-    vectorizable: dict[str, bool] = {}
+    target: Optional[Profile] = None
     for username, _ in entries:
         try:
             full = load_profile(args.metadata / f"{username}.json", username)
@@ -114,7 +88,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             error_count += 1
             continue
         capped = apply_image_cap(full, args.image_cap)
-        vectorizable[username] = capped.is_vectorizable
+        if username == args.target:
+            target = capped
         if capped.is_vectorizable:
             ok_count += 1
             status = "ok"
@@ -128,10 +103,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if args.target not in {u for u, _ in entries}:
             print(f"{args.target}\tERROR: target not in user list")
             error_count += 1
-        elif args.target in vectorizable and not vectorizable[args.target]:
+        elif (target is not None
+              and not synthesize_document(target, top_k=args.top_k_tags).tokens):
             print(f"{args.target}\tERROR: target has no classifiable media")
             error_count += 1
-    if vectorizable and not any(vectorizable.values()):
+    if warning_count and not ok_count:
         print("ERROR: no profile has classifiable media; nothing to match on")
         error_count += 1
 
@@ -148,15 +124,15 @@ def cmd_match(args: argparse.Namespace) -> int:
         print(f"warning: k={args.k} truncated to {m - 1} (only {m} profiles)",
               file=sys.stderr)
     result = knn_match(matrix, profile_set.target_index, k=args.k)
+    report = result.report()
+    if args.output is not None:
+        args.output.write_text(report, encoding="utf-8")
 
     print("Target profile is:")
     print(result.target_username)
     print()
     print("Most closely related profiles are:")
-    for rank, (username, distance) in enumerate(result.neighbors, start=1):
-        print(f"{rank}\t{username}\t{distance:.6f}")
-    if args.output is not None:
-        args.output.write_text(result.report(), encoding="utf-8")
+    print(report.partition("\n")[2], end="")
     return EXIT_OK
 
 
@@ -287,10 +263,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.run(args)
     except BrandMatchError as error:
         print(f"error: {error}", file=sys.stderr)
-        return _exit_code_for(error)
-    except FileNotFoundError as error:
+        return error.exit_code
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        return EXIT_FAILURE
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,10 +28,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    AsymmetricInputError,
     DegenerateEmbeddingWarning,
     DimensionMismatchError,
-    NonzeroDiagonalError,
+    InvalidDistanceMatrixError,
     SingletonSetError,
 )
 
@@ -53,10 +52,14 @@ def _check_distance_matrix(distances: np.ndarray) -> np.ndarray:
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionMismatchError(f"distance matrix must be square, got {d.shape}")
+    if not np.isfinite(d).all():
+        raise InvalidDistanceMatrixError("distance matrix has a NaN or infinite entry")
+    if (d < 0.0).any():
+        raise InvalidDistanceMatrixError("distance matrix has a negative entry")
     if not np.array_equal(d, d.T):
-        raise AsymmetricInputError("distance matrix is not symmetric")
+        raise InvalidDistanceMatrixError("distance matrix is not symmetric")
     if np.any(np.diag(d) != 0.0):
-        raise NonzeroDiagonalError("distance matrix has a nonzero diagonal")
+        raise InvalidDistanceMatrixError("distance matrix has a nonzero diagonal")
     return d
 
 

@@ -259,8 +259,9 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
     """Read ``username[,category]`` lines; ``#`` comments and blank lines are skipped.
 
     Raises MissingProfileFileError when the file is absent or is a directory,
-    MalformedFileError when it is not UTF-8 or a username breaks the
-    ``check_username`` rule, and DuplicateUsernameError for a repeated username.
+    MalformedFileError when it is not UTF-8, a username breaks the
+    ``check_username`` rule or a category holds a tab or NUL, and
+    DuplicateUsernameError for a repeated username.
     """
     entries: list[tuple[str, Optional[str]]] = []
     seen: set[str] = set()
@@ -283,6 +284,9 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
             check_username(username)
         except ValueError as exc:
             raise MalformedFileError(f"user list {path} line {number}: {exc}") from None
+        if category and ("\t" in category or "\0" in category):
+            raise MalformedFileError(f"user list {path} line {number}: invalid category "
+                                     f"{category!r}: it must not contain tab or NUL")
         if username in seen:
             raise DuplicateUsernameError(f"duplicate username in user list: {username}")
         seen.add(username)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -197,6 +198,17 @@ def test_criterion_6_determinism(tmp_path):
     for name in digests[0]:
         assert digests[0][name] == digests[1][name], f"{name} differs between runs"
     assert any(name.endswith(".json") for name in digests[0])
+    # Frozen bytes of the quick-start outputs. A change that moves a number
+    # updates its digest here and says in CHANGES.md why the bytes changed.
+    expected = {
+        "report.txt": "32a517221c4a43204261d7365d10c7363dd9a31c1c2f5d0a2bb5a47e559ba2c9",
+        "matrix.tsv": "808fa8a1a46f03e4536f49bbca1b3632ca5ff73901f04d10e60ae0efee81d586",
+        "embedding.tsv": "f3ace4d131a084ffd648b0304d44a489c56de722f9f62dd7c18a3f5848284384",
+        "plot.svg": "eef7f9924444f1b05b84d35908c9fcc3aca0e66bc7c502913ebf17e7571b7f0c",
+        "users.txt": "def904b20652fa81e679a5ece8231ed9832b9c1286cf6ef05bf01566a52ef88f",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256(digests[0][name]).hexdigest() == digest, f"{name} bytes changed"
 
 
 CORRUPTED_FILES = [

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from brandmatch import embedding
+import brandmatch
+from brandmatch import cli, embedding
 from brandmatch.cli import (
     EXIT_BAD_TARGET,
     EXIT_EMPTY_CORPUS,
@@ -413,3 +414,86 @@ def test_synth_brand_name_must_be_a_username(brand_name, tmp_path, capsys):
     assert _single_error_line(capsys.readouterr().err).startswith(
         f"error: invalid username {brand_name!r}")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag, path", [
+    ("match", "--output", "nodir/r.txt"),
+    ("match", "--export-matrix", "afile/m.tsv"),
+    ("embed", "--embedding", "nodir/e.tsv"),
+    ("embed", "--embedding", "adir"),
+    ("synth", "--out", "afile"),
+])
+def test_unwritable_output_exits_failure(command, flag, path, fixture_dir, tmp_path, capsys):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    argv = [command, flag, str(tmp_path / path)]
+    if command != "synth":
+        argv += _pipeline_args(fixture_dir, "--target", "dogs_brand")
+    if command == "embed":
+        argv += ["--plot", str(tmp_path / "p.svg")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert captured.out == ""
+    assert _single_error_line(captured.err).endswith(f"{tmp_path / path}'")
+
+
+def test_validate_target_without_tokens_agrees_with_match(tmp_path, capsys):
+    write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
+    write_profile_file(tmp_path, "brand", [image_post(["x", "y"], [0.9, 0.5])])
+    users = write_user_list(tmp_path, ["alice", "brand"])
+    args = ["--users", str(users), "--metadata", str(tmp_path), "--target", "brand"]
+    assert main(["match", *args]) == EXIT_BAD_TARGET
+    capsys.readouterr()
+    assert main(["validate", *args]) == EXIT_FAILURE
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["brand\tERROR: target has no classifiable media",
+                        "validated 2 profiles: 2 ok, 0 warnings, 1 errors"]
+
+
+@pytest.mark.parametrize("character", ["\t", "\0"])
+def test_user_list_rejects_tab_or_nul_in_category(character, tmp_path, capsys):
+    write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
+    write_profile_file(tmp_path, "bob", [image_post(["cat"], [0.9])])
+    users = write_user_list(tmp_path, [("alice", "dogs"), ("bob", f"ca{character}ts")])
+    code = main(["embed", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "alice", *_output_args("embed", tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert captured.out == ""
+    assert (_single_error_line(captured.err)
+            == f"error: user list {users} line 2: invalid category {f'ca{character}ts'!r}: "
+               "it must not contain tab or NUL")
+    assert not (tmp_path / "e.tsv").exists()
+
+
+# The exit code of every error type, as the FORMATS.md exit-code table gives it.
+FORMATS_EXIT_CODES = {
+    "BrandMatchError": EXIT_FAILURE,
+    "DimensionMismatchError": EXIT_FAILURE,
+    "DuplicateUsernameError": EXIT_MALFORMED,
+    "EmptyCorpusError": EXIT_EMPTY_CORPUS,
+    "InvalidDistanceMatrixError": EXIT_FAILURE,
+    "MalformedFileError": EXIT_MALFORMED,
+    "MissingProfileFileError": EXIT_MISSING_INPUT,
+    "OverlappingPoolsError": EXIT_FAILURE,
+    "ScoreLengthMismatchError": EXIT_MALFORMED,
+    "SingletonSetError": EXIT_EMPTY_CORPUS,
+    "TargetOutOfRangeError": EXIT_BAD_TARGET,
+    "UnknownCategoryError": EXIT_FAILURE,
+    "UnknownTargetError": EXIT_BAD_TARGET,
+}
+
+
+@pytest.mark.parametrize("name", [
+    name for name in brandmatch.__all__
+    if isinstance(getattr(brandmatch, name), type)
+    and issubclass(getattr(brandmatch, name), brandmatch.BrandMatchError)])
+def test_every_error_type_exits_with_its_documented_code(name, monkeypatch, capsys):
+    def fail(args):
+        raise getattr(brandmatch, name)("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    code = main(["validate", "--users", "u.txt", "--metadata", "m"])
+    assert code == FORMATS_EXIT_CODES[name]
+    assert _single_error_line(capsys.readouterr().err) == "error: boom"

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from brandmatch import (
-    AsymmetricInputError,
     DegenerateEmbeddingWarning,
     DimensionMismatchError,
     Embedding2D,
     FixtureSpec,
-    NonzeroDiagonalError,
+    InvalidDistanceMatrixError,
     SingletonSetError,
     build_vocabulary,
     classical_mds,
@@ -257,10 +256,18 @@ def test_classical_mds_carries_labels_and_categories():
 
 
 def test_classical_mds_input_validation():
-    with pytest.raises(AsymmetricInputError):
+    with pytest.raises(InvalidDistanceMatrixError, match="not symmetric"):
         classical_mds(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(NonzeroDiagonalError):
+    with pytest.raises(InvalidDistanceMatrixError, match="nonzero diagonal"):
         classical_mds(np.array([[1.0, 2.0], [2.0, 0.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidDistanceMatrixError, match="NaN or infinite entry"):
+            classical_mds(np.array([[0.0, bad], [bad, 0.0]]))
+        with pytest.raises(InvalidDistanceMatrixError, match="NaN or infinite entry"):
+            smacof_refine(np.array([[0.0, bad], [bad, 0.0]]),
+                          classical_mds(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    with pytest.raises(InvalidDistanceMatrixError, match="negative entry"):
+        classical_mds(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(DimensionMismatchError):
         classical_mds(np.zeros((2, 3)))
     with pytest.raises(SingletonSetError):

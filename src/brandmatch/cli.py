@@ -163,12 +163,17 @@ def cmd_embed_and_plot(args: argparse.Namespace) -> int:
     for label, category, (x, y) in zip(refined.row_labels, categories,
                                        refined.coordinates):
         lines.append(f"{label}\t{category or ''}\t{float(x)!r}\t{float(y)!r}")
-    args.embedding.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     spec = PlotSpec(title=f"Target brand profile: {args.target}",
                     category_order=_plot_category_order(profile_set))
     svg = emit_scatter_svg(refined, spec, target_index=profile_set.target_index)
-    args.plot.write_text(svg, encoding="utf-8")
+
+    args.embedding.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        args.plot.write_text(svg, encoding="utf-8")
+    except OSError:
+        # a failed run leaves no half of its output behind
+        args.embedding.unlink()
+        raise
     print(f"embedding written to {args.embedding}")
     print(f"plot written to {args.plot}")
     return EXIT_OK

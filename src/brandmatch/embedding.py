@@ -4,7 +4,10 @@ Classical (Torgerson) scaling double-centers the squared distances,
 ``B = -1/2 * J * D^2 * J`` with ``J = I - (1/m) * 1 * 1^T``, and reads
 coordinates off the top two eigenpairs of B. SMACOF then iterates the
 Guttman transform ``X <- (1/m) * B(X) * X``, which never increases the raw
-stress ``sigma = sum_{i<j} (dhat_ij - delta_ij)^2``.
+stress ``sigma = sum_{i<j} (dhat_ij - delta_ij)^2``. With
+``R = delta / dhat`` (0 where ``dhat = 0``), ``B(X) = diag(rowsum(R)) - R``,
+so the update is computed as ``(1/m) * (rowsum(R) * X - R * X)`` and B is
+never built.
 
 When the distances are Euclidean distances between the rows of an m x V
 matrix X, ``B = Xc * Xc^T`` with Xc the column-centred X, and B shares its
@@ -63,9 +66,18 @@ def _check_distance_matrix(distances: np.ndarray) -> np.ndarray:
     return d
 
 
-def _embedded_distances(coordinates: np.ndarray) -> np.ndarray:
-    diff = coordinates[:, np.newaxis, :] - coordinates[np.newaxis, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+def _embedded_distances(coordinates: np.ndarray,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    # one m x m difference per coordinate column, folded in with hypot
+    columns = iter(coordinates.T)
+    first = next(columns, None)
+    if first is None:
+        return np.zeros((coordinates.shape[0],) * 2)
+    embedded = np.subtract(first[:, np.newaxis], first, out=out)
+    np.abs(embedded, out=embedded)
+    for column in columns:
+        np.hypot(embedded, column[:, np.newaxis] - column, out=embedded)
+    return embedded
 
 
 def stress(distances: np.ndarray, coordinates: np.ndarray) -> float:
@@ -81,9 +93,11 @@ def stress(distances: np.ndarray, coordinates: np.ndarray) -> float:
 
 
 def _raw_stress(distances: np.ndarray, embedded: np.ndarray) -> float:
+    # the residual is symmetric with a zero diagonal, so half its full sum of
+    # squares is the sum over i < j; summed by numpy, not by a BLAS dot, whose
+    # worker threads can take milliseconds to wake at this size
     residual = embedded - distances
-    i_upper, j_upper = np.triu_indices(distances.shape[0], k=1)
-    return float((residual[i_upper, j_upper] ** 2).sum())
+    return 0.5 * float(np.square(residual, out=residual).sum())
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -93,16 +107,26 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     place per round. Odd n is padded with a dummy index whose pairs drop out.
     """
     size = n + n % 2
-    others = list(range(1, size))
-    rounds = []
-    for _ in range(size - 1):
-        ring = [0] + others
-        pairs = [(min(p, q), max(p, q))
-                 for p, q in zip(ring[:size // 2], ring[::-1]) if max(p, q) < n]
-        rounds.append((np.array([p for p, _ in pairs], dtype=np.intp),
-                       np.array([q for _, q in pairs], dtype=np.intp)))
-        others = others[-1:] + others[:-1]
-    return rounds
+    seat = np.arange(size)
+    shift = np.arange(size - 1)[:, np.newaxis]
+    ring = np.where(seat == 0, 0, 1 + (seat - 1 - shift) % (size - 1))
+    left, right = ring[:, :size // 2], ring[:, ::-1][:, :size // 2]
+    p, q = np.minimum(left, right), np.maximum(left, right)
+    return [(p_round[q_round < n], q_round[q_round < n]) for p_round, q_round in zip(p, q)]
+
+
+def _rotate(array: np.ndarray, index_p, index_q, c: np.ndarray, s: np.ndarray) -> None:
+    """Rotate each slice pair: p <- c*p - s*q and q <- s*p + c*q."""
+    # fancy-index reads copy, so every pair sees pre-round values and the
+    # arithmetic can run in place on the copies
+    old_p, old_q = array[index_p], array[index_q]
+    new_p = c * old_p
+    new_p -= s * old_q
+    old_p *= s
+    old_q *= c
+    old_p += old_q
+    array[index_p] = new_p
+    array[index_q] = old_p
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +145,11 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    v = np.eye(n)
+    # A on top of V: both take the same column rotation, so one gather,
+    # rotate and scatter per round serves both; the row rotation is A's alone
+    stacked = np.concatenate([a, np.eye(n)])
+    a, v = stacked[:n], stacked[n:]
+    diagonal = np.diagonal(a)
     frobenius = float(np.linalg.norm(a))
     if n > 1 and frobenius > 0.0:
         threshold = _JACOBI_REL_THRESHOLD * frobenius
@@ -135,33 +163,25 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 break
             for p, q in rounds:
                 apq = a[p, q]
-                live = apq != 0.0
-                if not live.all():
+                if not apq.all():
+                    live = apq != 0.0
                     p, q, apq = p[live], q[live], apq[live]
                     if p.size == 0:
                         continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (diagonal[q] - diagonal[p]) / (2.0 * apq)
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                # fancy-index reads copy, so every pair sees pre-round values
-                col_p, col_q = a[:, p], a[:, q]
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :], a[q, :]
-                a[p, :] = c[:, np.newaxis] * row_p - s[:, np.newaxis] * row_q
-                a[q, :] = s[:, np.newaxis] * row_p + c[:, np.newaxis] * row_q
+                _rotate(stacked, np.s_[:, p], np.s_[:, q], c, s)
+                _rotate(a, p, q, c[:, np.newaxis], s[:, np.newaxis])
                 a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p], v[:, q]
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
         else:
             off_norm = np.sqrt(2.0 * float((a[upper] ** 2).sum()))
             if off_norm >= threshold:
                 warnings.warn(f"Jacobi stopped after {_JACOBI_SWEEP_CAP} sweeps without "
                               f"converging: off-diagonal norm {off_norm:.3e}, "
                               f"threshold {threshold:.3e}", RuntimeWarning, stacklevel=2)
-    eigenvalues = np.diag(a).copy()
+    eigenvalues = diagonal.copy()
     order = np.argsort(-eigenvalues, kind="stable")
     return eigenvalues[order], v[:, order]
 
@@ -230,10 +250,11 @@ def smacof_refine(distances: np.ndarray, initial: Embedding2D,
                   return_history: bool = False):
     """Stress majorization from an initial configuration via the Guttman transform.
 
-    Off-diagonal ``b_ij = -delta_ij / dhat_ij`` (0 for coincident points),
-    ``b_ii = -sum_{j != i} b_ij``, update ``X <- (1/m) B(X) X``. Stops when the
-    relative stress decrease falls below ``tol`` or after ``max_iter``
-    iterations; the returned configuration is re-centered. With
+    With ``R = delta / dhat`` (0 for coincident points) the update is
+    ``X <- (1/m) * (rowsum(R) * X - R * X)``, which is ``(1/m) B(X) X`` without
+    building B. Stops when the relative stress decrease falls below ``tol``;
+    after ``max_iter`` iterations without that, a RuntimeWarning reports the
+    last decrease. The returned configuration is re-centered. With
     ``return_history`` the per-iteration stress sequence (starting at the
     initial configuration's stress) is returned alongside.
     """
@@ -255,17 +276,20 @@ def smacof_refine(distances: np.ndarray, initial: Embedding2D,
     history = [previous]
     current = previous
     for _ in range(max_iter):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.where(embedded > 0.0, -d / embedded, 0.0)
-        np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
-        x = (b @ x) / m
-        embedded = _embedded_distances(x)
+        # R overwrites the embedded distances; where dhat = 0 it keeps that 0
+        ratio = np.divide(d, embedded, out=embedded, where=embedded > 0.0)
+        x = (ratio.sum(axis=1)[:, np.newaxis] * x - ratio @ x) / m
+        embedded = _embedded_distances(x, out=ratio)
         current = _raw_stress(d, embedded)
         history.append(current)
-        if (previous - current) / max(previous, 1e-12) < tol:
+        decrease = (previous - current) / max(previous, 1e-12)
+        if decrease < tol:
             break
         previous = current
+    else:
+        warnings.warn(f"SMACOF stopped after {max_iter} iterations without converging: "
+                      f"relative stress decrease {decrease:.3e}, tol {tol:.3e}",
+                      RuntimeWarning, stacklevel=2)
 
     x = x - x.mean(axis=0)
     refined = replace(initial, coordinates=x, stress=current)

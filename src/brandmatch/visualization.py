@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Optional
-from xml.sax.saxutils import escape, quoteattr
 
 from .embedding import Embedding2D
 from .errors import TargetOutOfRangeError, UnknownCategoryError
@@ -43,6 +42,11 @@ class PlotSpec:
         if self.width_px < minimum or self.height_px < minimum:
             raise ValueError(
                 f"viewport {self.width_px}x{self.height_px} too small for margin {self.margin_px}")
+
+
+def _escape(text: str) -> str:
+    # XML character data; & first so the entities added after are kept
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _color_for(category: Optional[str], order: tuple[str, ...]) -> str:
@@ -111,7 +115,7 @@ def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
         f'<rect x="0" y="0" width="{spec.width_px}" height="{spec.height_px}" fill="#ffffff"/>',
         f'<text class="title" x="{spec.width_px / 2:.2f}" y="{spec.margin_px / 2:.2f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="16">'
-        f'{escape(spec.title)}</text>',
+        f'{_escape(spec.title)}</text>',
     ]
 
     pixels = [to_pixel(float(x), float(y)) for x, y in embedding.coordinates]
@@ -126,7 +130,7 @@ def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
     for i, (px, py) in enumerate(pixels):
         parts.append(f'<text class="label" x="{px + _LABEL_DX:.2f}" y="{py + _LABEL_DY:.2f}" '
                      f'font-family="sans-serif" font-size="11">'
-                     f'{escape(embedding.row_labels[i])}</text>')
+                     f'{_escape(embedding.row_labels[i])}</text>')
 
     legend_entries = [(name, PALETTE[i % len(PALETTE)])
                       for i, name in enumerate(spec.category_order)]
@@ -137,9 +141,9 @@ def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
     for row, (name, color) in enumerate(legend_entries):
         y = legend_y + 18 * row
         parts.append(f'<rect class="legend-swatch" x="{legend_x}" y="{y}" '
-                     f'width="12" height="12" fill={quoteattr(color)}/>')
+                     f'width="12" height="12" fill="{color}"/>')
         parts.append(f'<text class="legend" x="{legend_x + 18}" y="{y + 10}" '
-                     f'font-family="sans-serif" font-size="12">{escape(name)}</text>')
+                     f'font-family="sans-serif" font-size="12">{_escape(name)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

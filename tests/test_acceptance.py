@@ -203,7 +203,7 @@ def test_criterion_6_determinism(tmp_path):
     expected = {
         "report.txt": "32a517221c4a43204261d7365d10c7363dd9a31c1c2f5d0a2bb5a47e559ba2c9",
         "matrix.tsv": "808fa8a1a46f03e4536f49bbca1b3632ca5ff73901f04d10e60ae0efee81d586",
-        "embedding.tsv": "f3ace4d131a084ffd648b0304d44a489c56de722f9f62dd7c18a3f5848284384",
+        "embedding.tsv": "7461ca45a132ff0571ac331a44be4dcaf86039c7f279f0c90fe18ee782fb47f6",
         "plot.svg": "eef7f9924444f1b05b84d35908c9fcc3aca0e66bc7c502913ebf17e7571b7f0c",
         "users.txt": "def904b20652fa81e679a5ece8231ed9832b9c1286cf6ef05bf01566a52ef88f",
     }

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +217,44 @@ def test_embed_jacobi_sweep_cap_warns_without_changing_exit(fixture_dir, tmp_pat
                                           "--plot", str(tmp_path / "p.svg"))])
     assert code == EXIT_OK
     assert "warning: Jacobi stopped after 1 sweeps" in capsys.readouterr().err
+
+
+def test_embed_smacof_cap_warns_without_changing_exit(fixture_dir, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(cli, "smacof_refine",
+                        functools.partial(embedding.smacof_refine, max_iter=1))
+    code = main(["embed", *_pipeline_args(fixture_dir, "--target", "dogs_brand",
+                                          "--embedding", str(tmp_path / "e.tsv"),
+                                          "--plot", str(tmp_path / "p.svg"))])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "warning: SMACOF stopped after 1 iterations without converging: " \
+           "relative stress decrease " in captured.err
+    assert "plot written to" in captured.out
+
+
+def test_embed_failed_plot_leaves_no_embedding(fixture_dir, tmp_path, capsys):
+    embedding_path = tmp_path / "part.tsv"
+    code = main(["embed", *_pipeline_args(fixture_dir, "--target", "dogs_brand",
+                                          "--embedding", str(embedding_path),
+                                          "--plot", str(tmp_path / "nodir" / "p.svg"))])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert captured.out == ""
+    assert _single_error_line(captured.err).endswith(f"{tmp_path / 'nodir' / 'p.svg'}'")
+    assert not embedding_path.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_leaves_out_network_modules():
+    # xml.sax.saxutils pulled in urllib.request, http.client, email and ssl
+    probe = ("import sys, brandmatch.cli; print(' '.join(name for name in "
+             "('xml.sax', 'urllib.request', 'http.client', 'email.parser') "
+             "if name in sys.modules))")
+    source = str(Path(brandmatch.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": source}, check=True)
+    assert result.stdout.strip() == ""
 
 
 def test_embed_deterministic(fixture_dir, tmp_path):

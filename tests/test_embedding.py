@@ -367,6 +367,37 @@ def test_smacof_coincident_initial_points():
     assert refined.stress >= 0.0
 
 
+def test_smacof_warns_when_max_iter_reached():
+    rng = np.random.RandomState(89)
+    d = pairwise_distances(rng.rand(10, 5))
+    initial = classical_mds(d)
+    with pytest.warns(RuntimeWarning, match=r"SMACOF stopped after 3 iterations without "
+                      r"converging: relative stress decrease \d\.\d{3}e-\d\d, "
+                      r"tol 1\.000e-12") as caught:
+        refined, history = smacof_refine(d, initial, max_iter=3, tol=1e-12,
+                                         return_history=True)
+    assert len(caught) == 1
+    assert len(history) == 4 and refined.stress == history[-1]
+    decrease = (history[-2] - history[-1]) / history[-2]
+    assert f"relative stress decrease {decrease:.3e}," in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smacof_refine(d, initial)
+
+
+def test_stress_accepts_any_number_of_columns():
+    rng = np.random.RandomState(83)
+    d = pairwise_distances(rng.rand(6, 4))
+    for columns in (1, 2, 3, 5):
+        pts = rng.rand(6, columns)
+        embedded = np.sqrt(((pts[:, np.newaxis, :] - pts[np.newaxis, :, :]) ** 2).sum(axis=2))
+        i, j = np.triu_indices(6, k=1)
+        expected = float(((embedded[i, j] - d[i, j]) ** 2).sum())
+        assert stress(d, pts) == pytest.approx(expected, rel=1e-12)
+    assert stress(d, np.zeros((6, 0))) == pytest.approx(float((np.triu(d) ** 2).sum()),
+                                                         rel=1e-12)
+
+
 def test_smacof_input_validation():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     initial = Embedding2D(coordinates=np.zeros((3, 2)), row_labels=("a", "b", "c"),

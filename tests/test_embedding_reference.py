@@ -1,0 +1,205 @@
+"""The embedding kernels against frozen copies of their earlier, plainer versions.
+
+``_reference_jacobi_eigh`` rotates A and V as separate arrays, and
+``_reference_smacof`` builds the Guttman matrix B through the m x m x 2
+difference tensor and sums the stress over ``np.triu_indices``. The current
+Jacobi must agree bit for bit; the current SMACOF must take the same number of
+iterations and land within 1e-12 of the reference.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from brandmatch import (
+    Embedding2D,
+    FixtureSpec,
+    build_vocabulary,
+    classical_mds,
+    count_vectorize,
+    generate_brand_profile,
+    generate_profile_set,
+    jacobi_eigh,
+    pairwise_distances,
+    smacof_refine,
+    synthesize_document,
+    tfidf_transform,
+)
+
+
+def _reference_round_robin(n):
+    size = n + n % 2
+    others = list(range(1, size))
+    rounds = []
+    for _ in range(size - 1):
+        ring = [0] + others
+        pairs = [(min(p, q), max(p, q))
+                 for p, q in zip(ring[:size // 2], ring[::-1]) if max(p, q) < n]
+        rounds.append((np.array([p for p, _ in pairs], dtype=np.intp),
+                       np.array([q for _, q in pairs], dtype=np.intp)))
+        others = others[-1:] + others[:-1]
+    return rounds
+
+
+def _reference_jacobi_eigh(matrix):
+    a = np.array(matrix, dtype=np.float64, copy=True)
+    n = a.shape[0]
+    v = np.eye(n)
+    frobenius = float(np.linalg.norm(a))
+    if n > 1 and frobenius > 0.0:
+        threshold = 1e-12 * frobenius
+        upper = np.triu_indices(n, k=1)
+        rounds = _reference_round_robin(n)
+        for _ in range(100):
+            if np.sqrt(2.0 * float((a[upper] ** 2).sum())) < threshold:
+                break
+            for p, q in rounds:
+                apq = a[p, q]
+                live = apq != 0.0
+                if not live.all():
+                    p, q, apq = p[live], q[live], apq[live]
+                    if p.size == 0:
+                        continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                col_p, col_q = a[:, p], a[:, q]
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :], a[q, :]
+                a[p, :] = c[:, np.newaxis] * row_p - s[:, np.newaxis] * row_q
+                a[q, :] = s[:, np.newaxis] * row_p + c[:, np.newaxis] * row_q
+                a[p, q] = a[q, p] = 0.0
+                vec_p, vec_q = v[:, p], v[:, q]
+                v[:, p] = c * vec_p - s * vec_q
+                v[:, q] = s * vec_p + c * vec_q
+    eigenvalues = np.diag(a).copy()
+    order = np.argsort(-eigenvalues, kind="stable")
+    return eigenvalues[order], v[:, order]
+
+
+def _reference_embedded_distances(coordinates):
+    diff = coordinates[:, np.newaxis, :] - coordinates[np.newaxis, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _reference_raw_stress(distances, embedded):
+    residual = embedded - distances
+    i_upper, j_upper = np.triu_indices(distances.shape[0], k=1)
+    return float((residual[i_upper, j_upper] ** 2).sum())
+
+
+def _reference_smacof(distances, coordinates, max_iter=300, tol=1e-6):
+    d = np.asarray(distances, dtype=np.float64)
+    m = d.shape[0]
+    x = np.array(coordinates, dtype=np.float64, copy=True)
+    embedded = _reference_embedded_distances(x)
+    previous = _reference_raw_stress(d, embedded)
+    history = [previous]
+    for _ in range(max_iter):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.where(embedded > 0.0, -d / embedded, 0.0)
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        x = (b @ x) / m
+        embedded = _reference_embedded_distances(x)
+        current = _reference_raw_stress(d, embedded)
+        history.append(current)
+        if (previous - current) / max(previous, 1e-12) < tol:
+            break
+        previous = current
+    return x - x.mean(axis=0), history
+
+
+def _random_symmetric(rng, n):
+    a = rng.rand(n, n) * 2 - 1
+    return (a + a.T) / 2
+
+
+def _synth_matrix(seed, weighting):
+    spec = FixtureSpec(seed=seed, users_per_category=5, posts_per_user=20)
+    profiles = list(generate_profile_set(spec).profiles)
+    profiles.append(generate_brand_profile(spec, "pizza", "pizza_brand"))
+    documents = [synthesize_document(p) for p in profiles]
+    matrix = count_vectorize(documents, build_vocabulary(documents))
+    return tfidf_transform(matrix) if weighting == "tfidf" else matrix
+
+
+def _assert_jacobi_identical(a):
+    values, vectors = jacobi_eigh(a)
+    reference_values, reference_vectors = _reference_jacobi_eigh(a)
+    assert np.array_equal(values, reference_values)
+    assert np.array_equal(vectors, reference_vectors)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 20, 33])
+def test_jacobi_identical_on_odd_and_even_n(n):
+    _assert_jacobi_identical(_random_symmetric(np.random.RandomState(100 + n), n))
+
+
+def test_jacobi_identical_on_repeated_eigenvalues():
+    rng = np.random.RandomState(71)
+    for spectrum in ([4.0, 4.0, 4.0, 1.0, 1.0, -3.0, 0.0], [2.0] * 6,
+                     [1.0, 1.0, -1.0, -1.0, 0.25, 0.25, 0.25, 9.0]):
+        q, _ = np.linalg.qr(rng.rand(len(spectrum), len(spectrum)))
+        a = q @ np.diag(spectrum) @ q.T
+        _assert_jacobi_identical((a + a.T) / 2)
+
+
+def test_jacobi_identical_with_exactly_zero_pairs():
+    rng = np.random.RandomState(73)
+    for n in (6, 9):
+        a = _random_symmetric(rng, n)
+        a[rng.rand(n, n) < 0.5] = 0.0
+        _assert_jacobi_identical(np.triu(a) + np.triu(a, 1).T)
+    blocks = np.zeros((7, 7))
+    blocks[:3, :3] = _random_symmetric(rng, 3)
+    blocks[3:, 3:] = _random_symmetric(rng, 4)
+    _assert_jacobi_identical(blocks)
+
+
+@pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+def test_jacobi_identical_on_a_synth_gram_matrix(weighting):
+    values = _synth_matrix(3, weighting).values
+    centred = values - values.mean(axis=0)
+    _assert_jacobi_identical(centred.T @ centred)
+
+
+def _assert_smacof_close(distances, initial):
+    refined, history = smacof_refine(distances, initial, return_history=True)
+    coordinates, reference_history = _reference_smacof(distances, initial.coordinates)
+    assert len(history) == len(reference_history)
+    np.testing.assert_allclose(history, reference_history, rtol=1e-12, atol=0.0)
+    radius = np.sqrt((coordinates ** 2).sum(axis=1).mean())
+    assert np.abs(refined.coordinates - coordinates).max() <= 1e-12 * radius
+    assert refined.stress == history[-1]
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+def test_smacof_matches_reference_on_synth_fixtures(seed, weighting):
+    matrix = _synth_matrix(seed, weighting)
+    distances = pairwise_distances(matrix)
+    _assert_smacof_close(distances, classical_mds(distances, points=matrix.values))
+
+
+def test_smacof_matches_reference_with_coincident_points():
+    rng = np.random.RandomState(79)
+    points = rng.rand(9, 4)
+    points[[4, 7]] = points[2]
+    points[8] = points[0]
+    distances = pairwise_distances(points)
+    initial = classical_mds(distances, points=points)
+    assert distances[2, 7] == 0.0
+    assert np.array_equal(initial.coordinates[2], initial.coordinates[7])
+    _assert_smacof_close(distances, initial)
+    merged = initial.coordinates.copy()
+    merged[5] = merged[6]  # apart in the input, together in the start
+    _assert_smacof_close(distances, replace(initial, coordinates=merged))
+    collapsed = Embedding2D(coordinates=np.zeros((9, 2)), row_labels=initial.row_labels,
+                            categories=None, stress=0.0)
+    _assert_smacof_close(distances, collapsed)

@@ -132,3 +132,15 @@ def test_aspect_ratio_preserved():
     span_x = max(xs) - min(xs)
     span_y = max(ys) - min(ys)
     assert span_x / span_y == pytest.approx(10.0, rel=0.01)
+
+
+def test_markup_characters_escaped():
+    spec = PlotSpec(title="R&D <pizza> &amp;", category_order=("a<b",))
+    svg = emit_scatter_svg(_embedding([[0.0, 0.0], [1.0, 1.0]], labels=["x&y", "z>w"],
+                                      categories=["a<b", "a<b"]), spec)
+    assert ">R&amp;D &lt;pizza&gt; &amp;amp;</text>" in svg
+    assert ">x&amp;y</text>" in svg and ">z&gt;w</text>" in svg
+    assert ">a&lt;b</text>" in svg
+    assert [e.text for e in _elements(svg, "text", "label")] == ["x&y", "z>w"]
+    assert _elements(svg, "text", "title")[0].text == "R&D <pizza> &amp;"
+    assert 'fill="#1f77b4"/>' in svg

@@ -59,7 +59,12 @@ from .vectorizer import (
 )
 from .visualization import PlotSpec, emit_scatter_svg
 
-def _build_matrix(args: argparse.Namespace) -> tuple[ProfileSet, DocTermMatrix]:
+# rendered outputs, written together by _write_outputs once every one is ready
+_Outputs = list[tuple[Path, str]]
+
+
+def _build_matrix(args: argparse.Namespace) -> tuple[ProfileSet, DocTermMatrix, _Outputs]:
+    """The profiles and their matrix, plus the rendered ``--export-matrix`` output if asked."""
     profile_set = load_profile_set(args.users, args.metadata, target_username=args.target,
                                    image_cap=args.image_cap)
     documents = [synthesize_document(p, top_k=args.top_k_tags)
@@ -70,9 +75,24 @@ def _build_matrix(args: argparse.Namespace) -> tuple[ProfileSet, DocTermMatrix]:
     matrix = count_vectorize(documents, vocabulary)
     if Weighting(args.weighting) is Weighting.TFIDF:
         matrix = tfidf_transform(matrix)
+    outputs: _Outputs = []
     if args.export_matrix is not None:
-        args.export_matrix.write_text(export_matrix_tsv(matrix), encoding="utf-8")
-    return profile_set, matrix
+        outputs.append((args.export_matrix, export_matrix_tsv(matrix)))
+    return profile_set, matrix, outputs
+
+
+def _write_outputs(outputs: _Outputs) -> None:
+    """Write every rendered output; if one write fails, remove those already written."""
+    written: list[Path] = []
+    try:
+        for path, text in outputs:
+            path.write_text(text, encoding="utf-8")
+            written.append(path)
+    except OSError:
+        # a failed run leaves no part of its output behind
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -118,7 +138,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     """Load, synthesize, vectorize, and rank the k nearest influencers to the target."""
-    profile_set, matrix = _build_matrix(args)
+    profile_set, matrix, outputs = _build_matrix(args)
     m = len(profile_set.profiles)
     if args.k > m - 1:
         print(f"warning: k={args.k} truncated to {m - 1} (only {m} profiles)",
@@ -126,7 +146,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     result = knn_match(matrix, profile_set.target_index, k=args.k)
     report = result.report()
     if args.output is not None:
-        args.output.write_text(report, encoding="utf-8")
+        outputs.append((args.output, report))
+    _write_outputs(outputs)
 
     print("Target profile is:")
     print(result.target_username)
@@ -148,7 +169,7 @@ def _plot_category_order(profile_set: ProfileSet) -> tuple[str, ...]:
 
 def cmd_embed_and_plot(args: argparse.Namespace) -> int:
     """Embed all profiles to 2-D (classical MDS + SMACOF) and write TSV + SVG."""
-    profile_set, matrix = _build_matrix(args)
+    profile_set, matrix, outputs = _build_matrix(args)
     distances = pairwise_distances(matrix)
     categories = tuple(p.category for p in profile_set.profiles)
     with warnings.catch_warnings(record=True) as caught:
@@ -167,13 +188,8 @@ def cmd_embed_and_plot(args: argparse.Namespace) -> int:
                     category_order=_plot_category_order(profile_set))
     svg = emit_scatter_svg(refined, spec, target_index=profile_set.target_index)
 
-    args.embedding.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    try:
-        args.plot.write_text(svg, encoding="utf-8")
-    except OSError:
-        # a failed run leaves no half of its output behind
-        args.embedding.unlink()
-        raise
+    outputs += [(args.embedding, "\n".join(lines) + "\n"), (args.plot, svg)]
+    _write_outputs(outputs)
     print(f"embedding written to {args.embedding}")
     print(f"plot written to {args.plot}")
     return EXIT_OK

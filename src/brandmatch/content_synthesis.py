@@ -37,10 +37,16 @@ def synthesize_document(profile: Profile, top_k: int = DEFAULT_TOP_K,
     if top_k < 1:
         raise ValueError("top_k must be a positive integer")
     tokens: list[str] = []
+    # a profile repeats a few labels over hundreds of posts: tokenize each once
+    label_tokens: dict[str, list[str]] = {}
     for post in profile.posts:
         if post.is_video:
             continue
         for prediction in post.tag_predictions[:top_k]:
             if prediction.confidence >= min_confidence:
-                tokens.extend(tokenize(prediction.label))
+                label = prediction.label
+                words = label_tokens.get(label)
+                if words is None:
+                    words = label_tokens[label] = tokenize(label)
+                tokens.extend(words)
     return ContentDocument(username=profile.username, tokens=tuple(tokens))

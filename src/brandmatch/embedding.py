@@ -14,8 +14,12 @@ matrix X, ``B = Xc * Xc^T`` with Xc the column-centred X, and B shares its
 nonzero eigenvalues with the V x V matrix ``Xc^T * Xc`` (the MDS/PCA
 duality, Gower 1966): for an eigenpair ``(lambda, w)`` of the latter,
 ``Xc * w`` is the B eigenvector scaled by ``sqrt(lambda)``, i.e. a finished
-coordinate column. ``classical_mds`` takes that V x V path when it is given
-the points and V < m, and otherwise double-centres the m x m distances.
+coordinate column. Equal columns of Xc add nothing to the rank: k copies of a
+column c contribute ``k * c * c^T`` to ``Xc * Xc^T``, as one column
+``sqrt(k) * c`` does. So ``classical_mds`` first merges equal centred
+columns that way, and takes the V' x V' path (V' distinct columns) when it
+is given the points and V' < m; otherwise it double-centres the m x m
+distances.
 
 Everything here is deterministic: a Jacobi eigensolver with a fixed
 round-robin rotation order, a fixed column sign convention, and no
@@ -204,8 +208,9 @@ def classical_mds(distances: np.ndarray,
     """Torgerson scaling of a distance matrix to 2 coordinates.
 
     ``points``, if given, are the m x V rows the Euclidean distances were
-    computed from; when V < m the eigenproblem is solved on the V x V matrix
-    ``Xc^T * Xc`` instead of the m x m matrix B (see the module docstring).
+    computed from; identical centred columns are merged into V' distinct ones
+    and, when V' < m, the eigenproblem is solved on the V' x V' Gram matrix of
+    the merged columns instead of the m x m matrix B (see the module docstring).
     The stress is always measured against ``distances``.
 
     Negative leading eigenvalues (non-Euclidean input) clamp to zero and yield
@@ -219,15 +224,21 @@ def classical_mds(distances: np.ndarray,
     x = None if points is None else np.asarray(points, dtype=np.float64)
     if x is not None and (x.ndim != 2 or x.shape[0] != m):
         raise DimensionMismatchError(f"points {x.shape} inconsistent with {m} x {m} distances")
-    if x is not None and x.shape[1] < m:
-        centred = x - x.mean(axis=0)
-        eigenvalues, eigenvectors = jacobi_eigh(centred.T @ centred)
-        # V may be below 2; the missing eigenvalues of B are zero
+    merged = None
+    if x is not None:
+        # merged after centring: the mean of a pre-scaled column rounds
+        # differently, which can lift a zero eigenvalue of B off zero
+        columns, counts = np.unique(x - x.mean(axis=0), axis=1, return_counts=True)
+        if columns.shape[1] < m:
+            merged = columns * np.sqrt(counts)
+    if merged is not None:
+        eigenvalues, eigenvectors = jacobi_eigh(merged.T @ merged)
+        # V' may be below 2; the missing eigenvalues of B are zero
         top = min(2, eigenvalues.size)
         top_values = np.zeros(2)
         top_values[:top] = eigenvalues[:top]
         coordinates = np.zeros((m, 2))
-        coordinates[:, :top] = centred @ eigenvectors[:, :top]
+        coordinates[:, :top] = merged @ eigenvectors[:, :top]
         coordinates[:, top_values <= 0.0] = 0.0
     else:
         centering = np.eye(m) - np.full((m, m), 1.0 / m)

@@ -70,10 +70,8 @@ def count_vectorize(documents: Sequence[ContentDocument],
     index = vocabulary.token_to_index
     values = np.zeros((len(documents), len(vocabulary)), dtype=np.int64)
     for i, doc in enumerate(documents):
-        for token in doc.tokens:
-            j = index.get(token)
-            if j is not None:
-                values[i, j] += 1
+        columns = [j for j in map(index.get, doc.tokens) if j is not None]
+        values[i] = np.bincount(np.array(columns, dtype=np.intp), minlength=len(vocabulary))
     return DocTermMatrix(values=values, row_labels=tuple(d.username for d in documents),
                          vocabulary=vocabulary, weighting=Weighting.COUNTS)
 

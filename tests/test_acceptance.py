@@ -211,6 +211,23 @@ def test_criterion_6_determinism(tmp_path):
         assert hashlib.sha256(digests[0][name]).hexdigest() == digest, f"{name} bytes changed"
 
 
+@pytest.mark.parametrize("weighting, digest", [
+    ("counts", "5f1a621485110fcedb53ad7c0412116df2c4771dd81353b2bf705a17aa793eae"),
+    ("tfidf", "8ad643f483817841384185a14928bd74ec7e361c047b51de667f1943b4a6d863"),
+])
+def test_embed_plot_bytes_at_twenty_per_category(tmp_path, weighting, digest):
+    # m = 101 > V = 72: the quick start (m = 26) double-centres, this solves
+    # the Gram matrix of the points' columns
+    assert _quiet_main(["synth", "--out", str(tmp_path), "--users-per-category", "20",
+                        "--brand", "pizza"]) == EXIT_OK
+    plot = tmp_path / "plot.svg"
+    assert _quiet_main(["embed", "--users", str(tmp_path / "users.txt"),
+                        "--metadata", str(tmp_path), "--target", "pizza_brand",
+                        "--weighting", weighting, "--embedding", str(tmp_path / "e.tsv"),
+                        "--plot", str(plot)]) == EXIT_OK
+    assert hashlib.sha256(plot.read_bytes()).hexdigest() == digest
+
+
 CORRUPTED_FILES = [
     ("object_not_array", {"posts": []}, MalformedFileError),
     ("post_not_object", ["just a string"], MalformedFileError),

@@ -246,6 +246,29 @@ def test_embed_failed_plot_leaves_no_embedding(fixture_dir, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_match_failed_output_leaves_no_exported_matrix(fixture_dir, tmp_path, capsys):
+    code = main(["match", *_pipeline_args(fixture_dir, "--target", "dogs_brand",
+                                          "--export-matrix", str(tmp_path / "m.tsv"),
+                                          "--output", str(tmp_path / "nodir" / "r.txt"))])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert captured.out == ""
+    assert _single_error_line(captured.err).endswith(f"{tmp_path / 'nodir' / 'r.txt'}'")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_embed_failed_plot_leaves_no_exported_matrix(fixture_dir, tmp_path, capsys):
+    code = main(["embed", *_pipeline_args(fixture_dir, "--target", "dogs_brand",
+                                          "--export-matrix", str(tmp_path / "m.tsv"),
+                                          "--embedding", str(tmp_path / "part.tsv"),
+                                          "--plot", str(tmp_path / "nodir" / "p.svg"))])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert captured.out == ""
+    assert _single_error_line(captured.err).endswith(f"{tmp_path / 'nodir' / 'p.svg'}'")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_import_leaves_out_network_modules():
     # xml.sax.saxutils pulled in urllib.request, http.client, email and ssl
     probe = ("import sys, brandmatch.cli; print(' '.join(name for name in "

@@ -4,7 +4,18 @@ from collections import Counter
 
 import pytest
 
-from brandmatch import Post, Profile, TagPrediction, synthesize_document, tokenize
+from brandmatch import (
+    ContentDocument,
+    FixtureSpec,
+    Post,
+    Profile,
+    TagPrediction,
+    content_synthesis,
+    generate_brand_profile,
+    generate_profile_set,
+    synthesize_document,
+    tokenize,
+)
 
 
 def _post(labels_scores, video=False):
@@ -104,3 +115,57 @@ def test_min_confidence_filter():
 def test_top_k_must_be_positive():
     with pytest.raises(ValueError):
         synthesize_document(Profile(username="u"), top_k=0)
+
+
+def _reference_synthesize_document(profile, top_k=3, min_confidence=0.0):
+    # the plain loop: every kept label is tokenized where it occurs
+    tokens = []
+    for post in profile.posts:
+        if post.is_video:
+            continue
+        for prediction in post.tag_predictions[:top_k]:
+            if prediction.confidence >= min_confidence:
+                tokens.extend(tokenize(prediction.label))
+    return ContentDocument(username=profile.username, tokens=tuple(tokens))
+
+
+def _repetitive_profile():
+    return Profile(username="u", posts=(
+        _post([("pug, pug-dog", 0.9), ("Pug", 0.5), ("pug, pug-dog", 0.2), ("lawn", 0.1)]),
+        _post([("pug, pug-dog", 0.8), ("a b", 0.4), ("Tennis ball", 0.3)]),
+        _post([("pug, pug-dog", 0.7), ("lawn", 0.6)], video=True),
+        _post([]),
+        _post([("tennis ball", 0.95), ("Pug", 0.05), ("lawn", 0.04), ("route 66", 0.01)]),
+    ))
+
+
+def _synth_profiles():
+    spec = FixtureSpec(seed=11, users_per_category=3, posts_per_user=40,
+                       cross_category_noise=0.4)
+    return [*generate_profile_set(spec).profiles,
+            generate_brand_profile(spec, "dogs", "dogs_brand")]
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 3, 4])
+@pytest.mark.parametrize("min_confidence", [0.0, 0.05, 0.3, 0.96])
+def test_document_equals_the_plain_loop(top_k, min_confidence):
+    for profile in [_repetitive_profile(), *_synth_profiles()]:
+        assert (synthesize_document(profile, top_k=top_k, min_confidence=min_confidence)
+                == _reference_synthesize_document(profile, top_k, min_confidence))
+
+
+def test_each_distinct_label_tokenized_once_per_call(monkeypatch):
+    calls = Counter()
+
+    def counting(text):
+        calls[text] += 1
+        return tokenize(text)
+
+    monkeypatch.setattr(content_synthesis, "tokenize", counting)
+    profile = _repetitive_profile()
+    expected = synthesize_document(profile).tokens
+    assert calls == Counter({"pug, pug-dog": 1, "Pug": 1, "lawn": 1, "a b": 1,
+                             "Tennis ball": 1, "tennis ball": 1})
+    # nothing is kept between calls
+    assert synthesize_document(profile).tokens == expected
+    assert set(calls.values()) == {2}

@@ -5,6 +5,11 @@
 difference tensor and sums the stress over ``np.triu_indices``. The current
 Jacobi must agree bit for bit; the current SMACOF must take the same number of
 iterations and land within 1e-12 of the reference.
+
+``_reference_classical_mds`` solves the V x V problem on every raw centred
+column when V < m, without merging equal columns. The merged-column path must
+land within 1e-12 of it, and within 1e-10 of double-centring the m x m
+distances, both relative to the RMS radius.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import brandmatch.embedding
 from brandmatch import (
     Embedding2D,
     FixtureSpec,
@@ -203,3 +209,108 @@ def test_smacof_matches_reference_with_coincident_points():
     collapsed = Embedding2D(coordinates=np.zeros((9, 2)), row_labels=initial.row_labels,
                             categories=None, stress=0.0)
     _assert_smacof_close(distances, collapsed)
+
+
+def _reference_fix_column_signs(coordinates):
+    for j in range(coordinates.shape[1]):
+        column = coordinates[:, j]
+        if column[int(np.argmax(np.abs(column)))] < 0.0:
+            coordinates[:, j] = -column
+    return coordinates
+
+
+def _reference_classical_mds(distances, points):
+    d = np.asarray(distances, dtype=np.float64)
+    m = d.shape[0]
+    x = np.asarray(points, dtype=np.float64)
+    if x.shape[1] < m:
+        centred = x - x.mean(axis=0)
+        eigenvalues, eigenvectors = jacobi_eigh(centred.T @ centred)
+        top = min(2, eigenvalues.size)
+        top_values = np.zeros(2)
+        top_values[:top] = eigenvalues[:top]
+        coordinates = np.zeros((m, 2))
+        coordinates[:, :top] = centred @ eigenvectors[:, :top]
+        coordinates[:, top_values <= 0.0] = 0.0
+    else:
+        centering = np.eye(m) - np.full((m, m), 1.0 / m)
+        b = -0.5 * centering @ (d * d) @ centering
+        eigenvalues, eigenvectors = jacobi_eigh(b)
+        coordinates = eigenvectors[:, :2] * np.sqrt(np.clip(eigenvalues[:2], 0.0, None))
+    return _reference_fix_column_signs(coordinates)
+
+
+def _lapack_double_centring(distances):
+    # the m x m problem solved by LAPACK: Jacobi takes about 40 s at m = 501
+    m = distances.shape[0]
+    centering = np.eye(m) - np.full((m, m), 1.0 / m)
+    values, vectors = np.linalg.eigh(-0.5 * centering @ (distances * distances) @ centering)
+    top = np.argsort(-values)[:2]
+    return _reference_fix_column_signs(vectors[:, top] * np.sqrt(np.clip(values[top], 0.0, None)))
+
+
+def _synth_cli_matrix(users_per_category, weighting):
+    # the matrix of `synth --users-per-category N --brand pizza`
+    spec = FixtureSpec(users_per_category=users_per_category)
+    profiles = list(generate_profile_set(spec).profiles)
+    profiles.append(generate_brand_profile(spec, "pizza", "pizza_brand"))
+    documents = [synthesize_document(p) for p in profiles]
+    matrix = count_vectorize(documents, build_vocabulary(documents))
+    return tfidf_transform(matrix) if weighting == "tfidf" else matrix
+
+
+def _assert_coordinates_close(coordinates, reference, relative):
+    radius = np.sqrt((reference ** 2).sum(axis=1).mean())
+    assert radius > 0.0
+    assert np.abs(coordinates - reference).max() <= relative * radius
+
+
+@pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+def test_classical_mds_matches_the_unmerged_column_path(weighting):
+    matrix = _synth_cli_matrix(20, weighting)  # m = 101, V = 72, V' = 42
+    distances = pairwise_distances(matrix)
+    embedding = classical_mds(distances, points=matrix.values)
+    _assert_coordinates_close(embedding.coordinates,
+                              _reference_classical_mds(distances, matrix.values), 1e-12)
+
+
+@pytest.mark.parametrize("users_per_category, weighting", [
+    (5, "counts"),  # m = 26: both paths double-centre
+    (9, "counts"),  # m = 46 > V' = 42 but < V = 72: the merge switches path
+    (9, "tfidf"),
+    (20, "counts"),
+    (20, "tfidf"),
+])
+def test_classical_mds_matches_the_distance_only_path(users_per_category, weighting):
+    matrix = _synth_cli_matrix(users_per_category, weighting)
+    distances = pairwise_distances(matrix)
+    from_points = classical_mds(distances, points=matrix.values)
+    from_distances = classical_mds(distances)
+    _assert_coordinates_close(from_points.coordinates, from_distances.coordinates, 1e-10)
+    assert from_points.stress == pytest.approx(from_distances.stress, rel=1e-10)
+
+
+def test_classical_mds_matches_double_centring_at_m_501():
+    matrix = _synth_cli_matrix(100, "tfidf")
+    distances = pairwise_distances(matrix)
+    embedding = classical_mds(distances, points=matrix.values)
+    _assert_coordinates_close(embedding.coordinates, _lapack_double_centring(distances), 1e-10)
+
+
+@pytest.mark.parametrize("users_per_category, solved", [
+    (5, (26, 26)),  # the README demo: m = 26 < V' = 42 stays on the m x m path
+    (9, (42, 42)),
+    (20, (42, 42)),
+])
+def test_jacobi_solves_the_distinct_columns(monkeypatch, users_per_category, solved):
+    shapes = []
+
+    def recording(matrix):
+        shapes.append(np.shape(matrix))
+        return jacobi_eigh(matrix)
+
+    monkeypatch.setattr(brandmatch.embedding, "jacobi_eigh", recording)
+    matrix = _synth_cli_matrix(users_per_category, "counts")
+    assert matrix.shape[1] == 72
+    classical_mds(pairwise_distances(matrix), points=matrix.values)
+    assert shapes == [solved]

@@ -13,6 +13,7 @@ from brandmatch import (
     build_vocabulary,
     count_vectorize,
     export_matrix_tsv,
+    Vocabulary,
     generate_profile_set,
     synthesize_document,
     tfidf_transform,
@@ -170,3 +171,30 @@ def test_export_tsv_layout():
     lines = text.splitlines()
     assert lines[0] == "username\taa\tbb"
     assert lines[1] == "u0\t1\t2"
+
+
+def _reference_count_values(documents, vocabulary):
+    # the plain loop: one increment per known token
+    index = vocabulary.token_to_index
+    values = np.zeros((len(documents), len(vocabulary)), dtype=np.int64)
+    for i, doc in enumerate(documents):
+        for token in doc.tokens:
+            j = index.get(token)
+            if j is not None:
+                values[i, j] += 1
+    return values
+
+
+def test_counts_equal_the_plain_loop():
+    spec = FixtureSpec(seed=5, users_per_category=4, posts_per_user=30,
+                       cross_category_noise=0.3)
+    documents = [synthesize_document(p) for p in generate_profile_set(spec).profiles]
+    documents += _docs([], ["zz", "zz", "yy"], ["beagle"] * 7 + ["zz"])
+    full = build_vocabulary(documents)
+    for vocabulary in (full,  # every token known
+                       Vocabulary(full.index_to_token[::3]),  # most tokens unknown
+                       Vocabulary(("beagle",))):
+        matrix = count_vectorize(documents, vocabulary)
+        assert matrix.values.dtype == np.int64
+        assert np.array_equal(matrix.values, _reference_count_values(documents, vocabulary))
+        assert matrix.row_labels == tuple(d.username for d in documents)

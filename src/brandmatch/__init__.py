@@ -14,15 +14,10 @@ from .errors import (
     BrandMatchError,
     DegenerateEmbeddingWarning,
     DimensionMismatchError,
-    DuplicateUsernameError,
     EmptyCorpusError,
     InvalidDistanceMatrixError,
     MalformedFileError,
     MissingProfileFileError,
-    OverlappingPoolsError,
-    ScoreLengthMismatchError,
-    SingletonSetError,
-    TargetOutOfRangeError,
     UnknownCategoryError,
     UnknownTargetError,
 )
@@ -64,7 +59,6 @@ __all__ = [
     "DegenerateEmbeddingWarning",
     "DimensionMismatchError",
     "DocTermMatrix",
-    "DuplicateUsernameError",
     "Embedding2D",
     "EmptyCorpusError",
     "FixtureSpec",
@@ -72,16 +66,12 @@ __all__ = [
     "MalformedFileError",
     "MatchResult",
     "MissingProfileFileError",
-    "OverlappingPoolsError",
     "PALETTE",
     "PlotSpec",
     "Post",
     "Profile",
     "ProfileSet",
-    "ScoreLengthMismatchError",
-    "SingletonSetError",
     "TagPrediction",
-    "TargetOutOfRangeError",
     "UnknownCategoryError",
     "UnknownTargetError",
     "Vocabulary",

@@ -97,6 +97,11 @@ def _write_outputs(outputs: _Outputs) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Report per-profile post/image counts and schema errors; 0 iff all usable."""
+    # the flag values match rejects, rejected with its messages before any file is read
+    if args.image_cap < 1:
+        raise ValueError("image_cap must be a positive integer")
+    if args.top_k_tags < 1:
+        raise ValueError("top_k must be a positive integer")
     entries = parse_user_list(args.users)
     ok_count = warning_count = error_count = 0
     target: Optional[Profile] = None

@@ -37,8 +37,8 @@ import numpy as np
 from .errors import (
     DegenerateEmbeddingWarning,
     DimensionMismatchError,
+    EmptyCorpusError,
     InvalidDistanceMatrixError,
-    SingletonSetError,
 )
 
 DEFAULT_MAX_ITER = 300
@@ -220,7 +220,7 @@ def classical_mds(distances: np.ndarray,
     d = _check_distance_matrix(distances)
     m = d.shape[0]
     if m < 2:
-        raise SingletonSetError("need at least two points to embed")
+        raise EmptyCorpusError("need at least two points to embed")
     x = None if points is None else np.asarray(points, dtype=np.float64)
     if x is not None and (x.ndim != 2 or x.shape[0] != m):
         raise DimensionMismatchError(f"points {x.shape} inconsistent with {m} x {m} distances")

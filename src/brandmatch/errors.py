@@ -18,48 +18,32 @@ class BrandMatchError(Exception):
     exit_code = EXIT_FAILURE
 
 
-class MalformedFileError(BrandMatchError):
-    """A metadata file is not a JSON array or carries a field of the wrong type/value."""
-    exit_code = EXIT_MALFORMED
-
-
-class ScoreLengthMismatchError(BrandMatchError):
-    """`image_contents` and `image_scores` differ in length: corrupted upstream classification."""
-    exit_code = EXIT_MALFORMED
-
-
 class MissingProfileFileError(BrandMatchError):
-    """A username listed in the user-list file has no metadata file."""
+    """A user list or a listed username's metadata file is absent, or is a directory."""
     exit_code = EXIT_MISSING_INPUT
 
 
-class UnknownTargetError(BrandMatchError):
-    """The requested target username is not in the user list."""
-    exit_code = EXIT_BAD_TARGET
+class MalformedFileError(BrandMatchError):
+    """A metadata file or user list breaks its format (FORMATS.md).
 
-
-class DuplicateUsernameError(BrandMatchError):
-    """The user list names the same username twice."""
+    Bad JSON, a field of the wrong type or value, tag labels and scores of
+    different lengths, or a duplicate or invalid username.
+    """
     exit_code = EXIT_MALFORMED
 
 
+class UnknownTargetError(BrandMatchError):
+    """The target username is not in the user list, or a target index is outside the matrix."""
+    exit_code = EXIT_BAD_TARGET
+
+
 class EmptyCorpusError(BrandMatchError):
-    """No document contributed a single token; there is nothing to match on."""
+    """Nothing to match on or embed: no tokens, or fewer than two profiles."""
     exit_code = EXIT_EMPTY_CORPUS
 
 
 class DimensionMismatchError(BrandMatchError):
     """Operands have incompatible shapes."""
-
-
-class TargetOutOfRangeError(BrandMatchError):
-    """Target row index outside the matrix."""
-    exit_code = EXIT_BAD_TARGET
-
-
-class SingletonSetError(BrandMatchError):
-    """Fewer than two profiles: no neighbors exist."""
-    exit_code = EXIT_EMPTY_CORPUS
 
 
 class InvalidDistanceMatrixError(BrandMatchError):
@@ -68,10 +52,6 @@ class InvalidDistanceMatrixError(BrandMatchError):
 
 class UnknownCategoryError(BrandMatchError):
     """A category name is not known to the receiver (plot order or fixture spec)."""
-
-
-class OverlappingPoolsError(BrandMatchError):
-    """Fixture tag pools share tokens across categories."""
 
 
 class DegenerateEmbeddingWarning(UserWarning):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .content_synthesis import tokenize
-from .errors import OverlappingPoolsError, UnknownCategoryError
+from .errors import UnknownCategoryError
 from .profile_store import Post, Profile, ProfileSet, TagPrediction
 
 _MASK64 = (1 << 64) - 1
@@ -99,7 +99,7 @@ def _validate_spec(spec: FixtureSpec) -> None:
             for token in tokenize(tag):
                 owner = seen.setdefault(token, name)
                 if owner != name:
-                    raise OverlappingPoolsError(
+                    raise ValueError(
                         f"token {token!r} appears in pools {owner!r} and {name!r}")
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingletonSetError, TargetOutOfRangeError
+from .errors import DimensionMismatchError, EmptyCorpusError, UnknownTargetError
 from .vectorizer import DocTermMatrix
 
 DEFAULT_K = 5
@@ -30,13 +30,15 @@ class MatchResult:
         return "\n".join(lines) + "\n"
 
 
-def euclidean_distance(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
+def euclidean_distance(rows: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Distance from the row ``v`` to ``rows``: a float for one row, an array for a stack."""
+    rows = np.asarray(rows, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"vectors of dimension {u.shape} vs {v.shape}")
-    diff = u - v
-    return float(np.sqrt(np.dot(diff, diff)))
+    if v.ndim != 1 or rows.shape[-1:] != v.shape:
+        raise DimensionMismatchError(f"vectors of dimension {rows.shape} vs {v.shape}")
+    diff = rows - v
+    distances = np.sqrt((diff * diff).sum(axis=-1))
+    return float(distances) if rows.ndim == 1 else distances
 
 
 def pairwise_distances(matrix: DocTermMatrix | np.ndarray) -> np.ndarray:
@@ -46,8 +48,7 @@ def pairwise_distances(matrix: DocTermMatrix | np.ndarray) -> np.ndarray:
     m = rows.shape[0]
     out = np.zeros((m, m), dtype=np.float64)
     for i in range(m - 1):
-        diff = rows[i + 1:] - rows[i]
-        out[i, i + 1:] = np.sqrt((diff * diff).sum(axis=1))
+        out[i, i + 1:] = euclidean_distance(rows[i + 1:], rows[i])
     return out + out.T
 
 
@@ -62,11 +63,10 @@ def knn_match(matrix: DocTermMatrix, target_index: int, k: int = DEFAULT_K) -> M
     rows = matrix.values.astype(np.float64)
     m = rows.shape[0]
     if not 0 <= target_index < m:
-        raise TargetOutOfRangeError(f"target index {target_index} outside 0..{m - 1}")
+        raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
     if m < 2:
-        raise SingletonSetError("need at least two profiles to rank neighbors")
-    diff = rows - rows[target_index]
-    distances = np.sqrt((diff * diff).sum(axis=1))
+        raise EmptyCorpusError("need at least two profiles to rank neighbors")
+    distances = euclidean_distance(rows, rows[target_index])
     order = [i for i in np.argsort(distances, kind="stable") if i != target_index]
     picked = order[:min(k, m - 1)]
     neighbors = tuple((matrix.row_labels[i], float(distances[i])) for i in picked)

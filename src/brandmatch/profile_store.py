@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import (
-    DuplicateUsernameError,
-    MalformedFileError,
-    MissingProfileFileError,
-    ScoreLengthMismatchError,
-    UnknownTargetError,
-)
+from .errors import MalformedFileError, MissingProfileFileError, UnknownTargetError
 
 MAX_TAGS_PER_POST = 5
 DEFAULT_IMAGE_CAP = 50
@@ -79,7 +73,7 @@ class ProfileSet:
         names = [p.username for p in self.profiles]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
-            raise DuplicateUsernameError(f"duplicate usernames: {', '.join(dupes)}")
+            raise MalformedFileError(f"duplicate usernames: {', '.join(dupes)}")
         if self.target_index is not None and not 0 <= self.target_index < len(self.profiles):
             raise IndexError(f"target_index {self.target_index} outside 0..{len(self.profiles) - 1}")
 
@@ -148,9 +142,8 @@ def load_profile(path: str | Path, username: str,
     Every post is checked, including those the cap drops; the result equals
     ``apply_image_cap(load_profile(path, username), image_cap)``. Raises
     ValueError for an ``image_cap`` below 1, MissingProfileFileError when
-    ``path`` is not a file, MalformedFileError for structural problems, and
-    ScoreLengthMismatchError when tag labels and scores disagree in length.
-    Unknown keys are ignored.
+    ``path`` is not a file, and MalformedFileError for any break of the format,
+    tag labels and scores of different lengths included. Unknown keys are ignored.
     """
     if image_cap is not None and image_cap < 1:
         raise ValueError("image_cap must be a positive integer")
@@ -209,7 +202,7 @@ def load_profile(path: str | Path, username: str,
                     if type(scores) is not list:
                         raise MalformedFileError("image_scores is not an array")
                     if len(contents) != len(scores):
-                        raise ScoreLengthMismatchError(
+                        raise MalformedFileError(
                             f"{len(contents)} image_contents vs {len(scores)} image_scores")
                     if len(contents) > MAX_TAGS_PER_POST:
                         raise MalformedFileError(
@@ -234,8 +227,8 @@ def load_profile(path: str | Path, username: str,
                         urls[0].rsplit("/", 1)[-1] if urls else f"post-{i}",
                         tuple(predictions), like_count, comment_count, caption,
                         tuple(hashtags), is_video))
-        except (MalformedFileError, ScoreLengthMismatchError) as exc:
-            raise type(exc)(f"{username}: post {i}: {exc}") from None
+        except MalformedFileError as exc:
+            raise MalformedFileError(f"{username}: post {i}: {exc}") from None
         except (ValueError, OverflowError) as exc:  # from TagPrediction, or float() of a huge int
             raise MalformedFileError(f"{username}: post {i}: {exc}") from None
         return Profile(username=username, posts=tuple(posts))
@@ -259,9 +252,8 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
     """Read ``username[,category]`` lines; ``#`` comments and blank lines are skipped.
 
     Raises MissingProfileFileError when the file is absent or is a directory,
-    MalformedFileError when it is not UTF-8, a username breaks the
-    ``check_username`` rule or a category holds a tab or NUL, and
-    DuplicateUsernameError for a repeated username.
+    and MalformedFileError when it is not UTF-8, a username breaks the
+    ``check_username`` rule or is repeated, or a category holds a tab or NUL.
     """
     entries: list[tuple[str, Optional[str]]] = []
     seen: set[str] = set()
@@ -288,7 +280,7 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
             raise MalformedFileError(f"user list {path} line {number}: invalid category "
                                      f"{category!r}: it must not contain tab or NUL")
         if username in seen:
-            raise DuplicateUsernameError(f"duplicate username in user list: {username}")
+            raise MalformedFileError(f"duplicate username in user list: {username}")
         seen.add(username)
         entries.append((username, category))
     return entries

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .embedding import Embedding2D
-from .errors import TargetOutOfRangeError, UnknownCategoryError
+from .errors import UnknownCategoryError, UnknownTargetError
 
 # 10 distinguishable category colors (assigned by category_order position).
 PALETTE = (
@@ -27,21 +27,15 @@ _STAR_OUTER = 10.0
 _LABEL_DX = 8.0
 _LABEL_DY = 4.0
 _PAD_FRACTION = 0.05
+_WIDTH_PX = 900
+_HEIGHT_PX = 900
+_MARGIN_PX = 60
 
 
 @dataclass(frozen=True)
 class PlotSpec:
     title: str
-    width_px: int = 900
-    height_px: int = 900
-    margin_px: int = 60
     category_order: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        minimum = 2 * self.margin_px + 10
-        if self.width_px < minimum or self.height_px < minimum:
-            raise ValueError(
-                f"viewport {self.width_px}x{self.height_px} too small for margin {self.margin_px}")
 
 
 def _escape(text: str) -> str:
@@ -58,7 +52,7 @@ def _color_for(category: Optional[str], order: tuple[str, ...]) -> str:
         raise UnknownCategoryError(f"category {category!r} not in plot category order") from None
 
 
-def _viewport_transform(coordinates, spec: PlotSpec):
+def _viewport_transform(coordinates):
     xs = coordinates[:, 0]
     ys = coordinates[:, 1]
     x_min, x_max = float(xs.min()), float(xs.max())
@@ -68,16 +62,16 @@ def _viewport_transform(coordinates, spec: PlotSpec):
     x0, x1 = x_min - pad_x, x_max + pad_x
     y0, y1 = y_min - pad_y, y_max + pad_y
     span_x, span_y = x1 - x0, y1 - y0
-    avail_w = spec.width_px - 2 * spec.margin_px
-    avail_h = spec.height_px - 2 * spec.margin_px
+    avail_w = _WIDTH_PX - 2 * _MARGIN_PX
+    avail_h = _HEIGHT_PX - 2 * _MARGIN_PX
     scales = []
     if span_x > 0.0:
         scales.append(avail_w / span_x)
     if span_y > 0.0:
         scales.append(avail_h / span_y)
     scale = min(scales) if scales else 1.0
-    offset_x = spec.margin_px + (avail_w - scale * span_x) / 2.0
-    offset_y = spec.margin_px + (avail_h - scale * span_y) / 2.0
+    offset_x = _MARGIN_PX + (avail_w - scale * span_x) / 2.0
+    offset_y = _MARGIN_PX + (avail_h - scale * span_y) / 2.0
 
     def to_pixel(x: float, y: float) -> tuple[float, float]:
         # SVG y grows downward; plot y grows upward
@@ -103,17 +97,17 @@ def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
     if m < 1:
         raise ValueError("embedding has no rows")
     if target_index is not None and not 0 <= target_index < m:
-        raise TargetOutOfRangeError(f"target index {target_index} outside 0..{m - 1}")
+        raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
     categories = embedding.categories or (None,) * m
-    to_pixel = _viewport_transform(embedding.coordinates, spec)
+    to_pixel = _viewport_transform(embedding.coordinates)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width_px}" height="{spec.height_px}" '
-        f'viewBox="0 0 {spec.width_px} {spec.height_px}">',
-        f'<rect x="0" y="0" width="{spec.width_px}" height="{spec.height_px}" fill="#ffffff"/>',
-        f'<text class="title" x="{spec.width_px / 2:.2f}" y="{spec.margin_px / 2:.2f}" '
+        f'width="{_WIDTH_PX}" height="{_HEIGHT_PX}" '
+        f'viewBox="0 0 {_WIDTH_PX} {_HEIGHT_PX}">',
+        f'<rect x="0" y="0" width="{_WIDTH_PX}" height="{_HEIGHT_PX}" fill="#ffffff"/>',
+        f'<text class="title" x="{_WIDTH_PX / 2:.2f}" y="{_MARGIN_PX / 2:.2f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="16">'
         f'{_escape(spec.title)}</text>',
     ]
@@ -136,8 +130,8 @@ def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
                       for i, name in enumerate(spec.category_order)]
     if target_index is not None:
         legend_entries.append(("target", TARGET_COLOR))
-    legend_x = spec.width_px - spec.margin_px - 130
-    legend_y = spec.margin_px + 10
+    legend_x = _WIDTH_PX - _MARGIN_PX - 130
+    legend_y = _MARGIN_PX + 10
     for row, (name, color) in enumerate(legend_entries):
         y = legend_y + 18 * row
         parts.append(f'<rect class="legend-swatch" x="{legend_x}" y="{y}" '

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import builtins
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from brandmatch.cli import (
     EXIT_MALFORMED,
     EXIT_MISSING_INPUT,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 from helpers import image_post, video_post, write_profile_file, write_user_list
@@ -533,22 +536,20 @@ def test_user_list_rejects_tab_or_nul_in_category(character, tmp_path, capsys):
     assert not (tmp_path / "e.tsv").exists()
 
 
-# The exit code of every error type, as the FORMATS.md exit-code table gives it.
-FORMATS_EXIT_CODES = {
-    "BrandMatchError": EXIT_FAILURE,
-    "DimensionMismatchError": EXIT_FAILURE,
-    "DuplicateUsernameError": EXIT_MALFORMED,
-    "EmptyCorpusError": EXIT_EMPTY_CORPUS,
-    "InvalidDistanceMatrixError": EXIT_FAILURE,
-    "MalformedFileError": EXIT_MALFORMED,
-    "MissingProfileFileError": EXIT_MISSING_INPUT,
-    "OverlappingPoolsError": EXIT_FAILURE,
-    "ScoreLengthMismatchError": EXIT_MALFORMED,
-    "SingletonSetError": EXIT_EMPTY_CORPUS,
-    "TargetOutOfRangeError": EXIT_BAD_TARGET,
-    "UnknownCategoryError": EXIT_FAILURE,
-    "UnknownTargetError": EXIT_BAD_TARGET,
-}
+def _formats_exit_codes() -> dict[str, list[int]]:
+    """Each type named in the FORMATS.md exit-code table, with the codes of its rows."""
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    section = text.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    codes: dict[str, list[int]] = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdigit():
+            for name in re.findall(r"`(\w+)`", cells[2]):
+                codes.setdefault(name, []).append(int(cells[0]))
+    return codes
+
+
+FORMATS_EXIT_CODES = _formats_exit_codes()
 
 
 @pytest.mark.parametrize("name", [
@@ -561,5 +562,33 @@ def test_every_error_type_exits_with_its_documented_code(name, monkeypatch, caps
 
     monkeypatch.setattr(cli, "cmd_validate", fail)
     code = main(["validate", "--users", "u.txt", "--metadata", "m"])
-    assert code == FORMATS_EXIT_CODES[name]
+    assert FORMATS_EXIT_CODES[name] == [getattr(brandmatch, name).exit_code]
+    assert code == getattr(brandmatch, name).exit_code
     assert _single_error_line(capsys.readouterr().err) == "error: boom"
+
+
+def test_exit_table_names_only_public_types():
+    for name in FORMATS_EXIT_CODES:
+        assert name in brandmatch.__all__ or isinstance(getattr(builtins, name, None), type), name
+    # one error type for each input-error code
+    for code in (EXIT_MISSING_INPUT, EXIT_MALFORMED, EXIT_BAD_TARGET, EXIT_EMPTY_CORPUS):
+        assert sum(code in codes for codes in FORMATS_EXIT_CODES.values()) == 1, code
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--top-k-tags", "top_k must be a positive integer"),
+    ("--image-cap", "image_cap must be a positive integer")])
+def test_validate_rejects_the_flag_values_match_rejects(flag, message, fixture_dir, tmp_path,
+                                                        capsys):
+    code = main(["match", *_pipeline_args(fixture_dir, "--target", "dogs_brand", flag, "0")])
+    assert code == EXIT_USAGE
+    assert _single_error_line(capsys.readouterr().err) == f"error: {message}"
+    empty = write_user_list(tmp_path, [])
+    # rejected before any file is read: a missing user list makes no difference
+    for users in (fixture_dir / "users.txt", empty, tmp_path / "missing.txt"):
+        code = main(["validate", "--users", str(users), "--metadata", str(fixture_dir),
+                     flag, "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert _single_error_line(captured.err) == f"error: {message}"

@@ -9,9 +9,9 @@ from brandmatch import (
     DegenerateEmbeddingWarning,
     DimensionMismatchError,
     Embedding2D,
+    EmptyCorpusError,
     FixtureSpec,
     InvalidDistanceMatrixError,
-    SingletonSetError,
     build_vocabulary,
     classical_mds,
     count_vectorize,
@@ -270,7 +270,7 @@ def test_classical_mds_input_validation():
         classical_mds(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(DimensionMismatchError):
         classical_mds(np.zeros((2, 3)))
-    with pytest.raises(SingletonSetError):
+    with pytest.raises(EmptyCorpusError, match="^need at least two points to embed$"):
         classical_mds(np.zeros((1, 1)))
     with pytest.raises(DimensionMismatchError):
         classical_mds(np.zeros((3, 3)), points=np.zeros((2, 1)))

@@ -7,7 +7,6 @@ import pytest
 from brandmatch import (
     DEFAULT_CATEGORIES,
     FixtureSpec,
-    OverlappingPoolsError,
     UnknownCategoryError,
     Xorshift64Star,
     build_vocabulary,
@@ -152,9 +151,10 @@ def test_brand_neighbors_all_from_its_category():
 def test_overlapping_pools_rejected():
     overlapping = (("aa", POOL_A), ("bb", POOL_B[:-1] + ("alpha tag0",)))
     spec = FixtureSpec(categories=overlapping)
-    with pytest.raises(OverlappingPoolsError):
+    message = "^token 'alpha' appears in pools 'aa' and 'bb'$"
+    with pytest.raises(ValueError, match=message):
         generate_profile_set(spec)
-    with pytest.raises(OverlappingPoolsError):
+    with pytest.raises(ValueError, match=message):
         generate_brand_profile(spec, "aa", "b")
 
 

@@ -8,8 +8,8 @@ import pytest
 from brandmatch import (
     DimensionMismatchError,
     DocTermMatrix,
-    SingletonSetError,
-    TargetOutOfRangeError,
+    EmptyCorpusError,
+    UnknownTargetError,
     Vocabulary,
     Weighting,
     euclidean_distance,
@@ -182,12 +182,12 @@ def test_knn_distances_non_decreasing():
 
 
 def test_knn_target_out_of_range():
-    with pytest.raises(TargetOutOfRangeError):
+    with pytest.raises(UnknownTargetError, match="^target index 5 outside 0..1$"):
         knn_match(_matrix([[0], [1]]), target_index=5)
 
 
 def test_knn_singleton_set():
-    with pytest.raises(SingletonSetError):
+    with pytest.raises(EmptyCorpusError, match="^need at least two profiles to rank neighbors$"):
         knn_match(_matrix([[0]]), target_index=0)
 
 

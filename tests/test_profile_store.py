@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from brandmatch import (
     BrandMatchError,
-    DuplicateUsernameError,
     MalformedFileError,
     MissingProfileFileError,
     Post,
     Profile,
     ProfileSet,
-    ScoreLengthMismatchError,
     TagPrediction,
     UnknownTargetError,
     apply_image_cap,
@@ -52,7 +50,8 @@ def test_score_length_mismatch_rejected(tmp_path):
     write_profile_file(tmp_path, "bad", [
         image_post(["dog", "cat", "pug"], [0.9, 0.1]),
     ])
-    with pytest.raises(ScoreLengthMismatchError):
+    with pytest.raises(MalformedFileError,
+                       match="^bad: post 0: 3 image_contents vs 2 image_scores$"):
         load_profile(tmp_path / "bad.json", "bad")
 
 
@@ -109,7 +108,7 @@ def test_post_errors_name_user_and_post_once(tmp_path):
          "image_scores entry is not a number"),
         ({"edge_media_to_comment": {"count": -1}}, MalformedFileError,
          "edge_media_to_comment.count is negative"),
-        ({"image_contents": ["dog", "cat"], "image_scores": [0.5]}, ScoreLengthMismatchError,
+        ({"image_contents": ["dog", "cat"], "image_scores": [0.5]}, MalformedFileError,
          "2 image_contents vs 1 image_scores"),
     ]
     for bad_post, error_type, detail in cases:
@@ -278,7 +277,7 @@ def test_user_list_parsing(tmp_path):
 def test_user_list_duplicate_rejected(tmp_path):
     path = tmp_path / "users.txt"
     path.write_text("alice\nbob\nalice\n", encoding="utf-8")
-    with pytest.raises(DuplicateUsernameError):
+    with pytest.raises(MalformedFileError, match="^duplicate username in user list: alice$"):
         parse_user_list(path)
 
 
@@ -355,7 +354,7 @@ def test_loading_twice_is_deterministic(tmp_path):
 
 def test_profile_set_rejects_duplicates_and_bad_target():
     profile = Profile(username="a")
-    with pytest.raises(DuplicateUsernameError):
+    with pytest.raises(MalformedFileError, match="^duplicate usernames: a$"):
         ProfileSet(profiles=(profile, Profile(username="a")))
     with pytest.raises(IndexError):
         ProfileSet(profiles=(profile,), target_index=3)

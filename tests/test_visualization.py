@@ -8,8 +8,8 @@ import pytest
 from brandmatch import (
     Embedding2D,
     PlotSpec,
-    TargetOutOfRangeError,
     UnknownCategoryError,
+    UnknownTargetError,
     emit_scatter_svg,
 )
 
@@ -112,20 +112,19 @@ def test_unknown_category_rejected():
 
 
 def test_target_index_out_of_range():
-    with pytest.raises(TargetOutOfRangeError):
+    with pytest.raises(UnknownTargetError, match="^target index 4 outside 0..0$"):
         emit_scatter_svg(_embedding([[0, 0]]), PlotSpec(title="t"), target_index=4)
 
 
 def test_plot_spec_rejects_tiny_viewport():
-    with pytest.raises(ValueError):
+    # the viewport is fixed at 900x900 px with a 60 px margin: none can be asked for
+    with pytest.raises(TypeError):
         PlotSpec(title="t", width_px=100, height_px=100, margin_px=60)
 
 
 def test_aspect_ratio_preserved():
     # x range 10 units, y range 1 unit: the same scale applies to both axes
-    svg = emit_scatter_svg(_embedding([[0, 0], [10, 0], [0, 1]]),
-                           PlotSpec(title="t", width_px=900, height_px=900,
-                                    margin_px=60))
+    svg = emit_scatter_svg(_embedding([[0, 0], [10, 0], [0, 1]]), PlotSpec(title="t"))
     circles = _elements(svg, "circle")
     xs = [float(c.get("cx")) for c in circles]
     ys = [float(c.get("cy")) for c in circles]

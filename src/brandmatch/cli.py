@@ -81,6 +81,13 @@ def _build_matrix(args: argparse.Namespace) -> tuple[ProfileSet, DocTermMatrix, 
     return profile_set, matrix, outputs
 
 
+def _check_flag_values(args: argparse.Namespace) -> None:
+    """Reject flag values below 1 before any file is read, with the library's messages."""
+    for flag, name in (("image_cap", "image_cap"), ("top_k_tags", "top_k"), ("k", "k")):
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"{name} must be a positive integer")
+
+
 def _write_outputs(outputs: _Outputs) -> None:
     """Write every rendered output; if one write fails, remove those already written."""
     written: list[Path] = []
@@ -97,11 +104,6 @@ def _write_outputs(outputs: _Outputs) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Report per-profile post/image counts and schema errors; 0 iff all usable."""
-    # the flag values match rejects, rejected with its messages before any file is read
-    if args.image_cap < 1:
-        raise ValueError("image_cap must be a positive integer")
-    if args.top_k_tags < 1:
-        raise ValueError("top_k must be a positive integer")
     entries = parse_user_list(args.users)
     ok_count = warning_count = error_count = 0
     target: Optional[Profile] = None
@@ -286,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flag_values(args)
         return args.run(args)
     except BrandMatchError as error:
         print(f"error: {error}", file=sys.stderr)

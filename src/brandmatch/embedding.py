@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     DegenerateEmbeddingWarning,
@@ -40,6 +38,10 @@ from .errors import (
     EmptyCorpusError,
     InvalidDistanceMatrixError,
 )
+
+# numpy is imported inside the functions that compute, so validate and synth never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_ITER = 300
 DEFAULT_TOL = 1e-6
@@ -56,6 +58,7 @@ class Embedding2D:
 
 
 def _check_distance_matrix(distances: np.ndarray) -> np.ndarray:
+    import numpy as np
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionMismatchError(f"distance matrix must be square, got {d.shape}")
@@ -72,6 +75,7 @@ def _check_distance_matrix(distances: np.ndarray) -> np.ndarray:
 
 def _embedded_distances(coordinates: np.ndarray,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
+    import numpy as np
     # one m x m difference per coordinate column, folded in with hypot
     columns = iter(coordinates.T)
     first = next(columns, None)
@@ -86,6 +90,7 @@ def _embedded_distances(coordinates: np.ndarray,
 
 def stress(distances: np.ndarray, coordinates: np.ndarray) -> float:
     """Raw stress: sum over i<j of squared (embedded minus input) distances."""
+    import numpy as np
     d = np.asarray(distances, dtype=np.float64)
     x = np.asarray(coordinates, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -97,6 +102,7 @@ def stress(distances: np.ndarray, coordinates: np.ndarray) -> float:
 
 
 def _raw_stress(distances: np.ndarray, embedded: np.ndarray) -> float:
+    import numpy as np
     # the residual is symmetric with a zero diagonal, so half its full sum of
     # squares is the sum over i < j; summed by numpy, not by a BLAS dot, whose
     # worker threads can take milliseconds to wake at this size
@@ -110,6 +116,7 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     Circle-method tournament: index 0 stays put while the others rotate one
     place per round. Odd n is padded with a dummy index whose pairs drop out.
     """
+    import numpy as np
     size = n + n % 2
     seat = np.arange(size)
     shift = np.arange(size - 1)[:, np.newaxis]
@@ -145,6 +152,7 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     after the hard cap of 100 sweeps a RuntimeWarning reports the norm
     reached. The order is fixed, so the decomposition is deterministic.
     """
+    import numpy as np
     a = np.array(matrix, dtype=np.float64, copy=True)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
@@ -191,6 +199,7 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fix_column_signs(coordinates: np.ndarray) -> np.ndarray:
+    import numpy as np
     # flip each column so its largest-magnitude entry is positive;
     # argmax picks the earliest row on ties
     for j in range(coordinates.shape[1]):
@@ -217,6 +226,7 @@ def classical_mds(distances: np.ndarray,
     a zero coordinate column; if both leading eigenvalues are non-positive the
     embedding is all-zero and a DegenerateEmbeddingWarning is issued.
     """
+    import numpy as np
     d = _check_distance_matrix(distances)
     m = d.shape[0]
     if m < 2:
@@ -269,6 +279,7 @@ def smacof_refine(distances: np.ndarray, initial: Embedding2D,
     ``return_history`` the per-iteration stress sequence (starting at the
     initial configuration's stress) is returned alongside.
     """
+    import numpy as np
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
     if tol <= 0.0:

@@ -7,12 +7,14 @@ auditable tie-break (ascending row index) beat any spatial index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatchError, EmptyCorpusError, UnknownTargetError
 from .vectorizer import DocTermMatrix
 
+# numpy is imported inside the functions that compute, so validate and synth never load it
+if TYPE_CHECKING:
+    import numpy as np
 DEFAULT_K = 5
 
 
@@ -32,6 +34,7 @@ class MatchResult:
 
 def euclidean_distance(rows: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Distance from the row ``v`` to ``rows``: a float for one row, an array for a stack."""
+    import numpy as np
     rows = np.asarray(rows, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or rows.shape[-1:] != v.shape:
@@ -43,6 +46,7 @@ def euclidean_distance(rows: np.ndarray, v: np.ndarray) -> float | np.ndarray:
 
 def pairwise_distances(matrix: DocTermMatrix | np.ndarray) -> np.ndarray:
     """Symmetric m x m Euclidean distance matrix, each unordered pair computed once."""
+    import numpy as np
     rows = matrix.values if isinstance(matrix, DocTermMatrix) else matrix
     rows = np.asarray(rows, dtype=np.float64)
     m = rows.shape[0]
@@ -58,6 +62,7 @@ def knn_match(matrix: DocTermMatrix, target_index: int, k: int = DEFAULT_K) -> M
     Distance ties break by ascending row index, so results are reproducible
     across runs and platforms.
     """
+    import numpy as np
     if k < 1:
         raise ValueError("k must be a positive integer")
     rows = matrix.values.astype(np.float64)

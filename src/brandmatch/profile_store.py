@@ -29,10 +29,15 @@ class TagPrediction:
     confidence: float
 
     def __post_init__(self) -> None:
-        if not self.label.strip():
-            raise ValueError("tag label is empty")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence!r} outside [0, 1]")
+        _check_tag(self.label, self.confidence)
+
+
+def _check_tag(label: str, confidence: float) -> None:
+    """Raise ValueError for a blank label or a confidence outside [0, 1]."""
+    if not label.strip():
+        raise ValueError("tag label is empty")
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"confidence {confidence!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,7 @@ def load_profile(path: str | Path, username: str,
                     if type(hashtag) is not str:
                         raise MalformedFileError("tags is not an array of strings")
 
+                keep = image_cap is None or (not is_video and len(posts) < image_cap)
                 predictions = []
                 contents = None if is_video else raw.get("image_contents")
                 scores = None if is_video else raw.get("image_scores")
@@ -212,8 +218,12 @@ def load_profile(path: str | Path, username: str,
                             raise MalformedFileError("image_contents entry is not a string")
                         if type(score) is not float and type(score) is not int:
                             raise MalformedFileError("image_scores entry is not a number")
-                        # TagPrediction alone checks blank labels and the [0, 1] range.
-                        predictions.append(TagPrediction(label, float(score)))
+                        # records only for the posts the cap keeps; the others get
+                        # TagPrediction's own blank-label and [0, 1] checks
+                        if keep:
+                            predictions.append(TagPrediction(label, float(score)))
+                        else:
+                            _check_tag(label, float(score))
                     if scores != sorted(scores, reverse=True):
                         raise MalformedFileError("image_scores not sorted non-increasing")
 
@@ -222,14 +232,14 @@ def load_profile(path: str | Path, username: str,
                 comment_count = _parse_count(raw.get("edge_media_to_comment"),
                                              "edge_media_to_comment")
                 caption = _parse_caption(raw.get("edge_media_to_caption"))
-                if image_cap is None or (not is_video and len(posts) < image_cap):
+                if keep:
                     posts.append(Post(
                         urls[0].rsplit("/", 1)[-1] if urls else f"post-{i}",
                         tuple(predictions), like_count, comment_count, caption,
                         tuple(hashtags), is_video))
         except MalformedFileError as exc:
             raise MalformedFileError(f"{username}: post {i}: {exc}") from None
-        except (ValueError, OverflowError) as exc:  # from TagPrediction, or float() of a huge int
+        except (ValueError, OverflowError) as exc:  # from _check_tag, or float() of a huge int
             raise MalformedFileError(f"{username}: post {i}: {exc}") from None
         return Profile(username=username, posts=tuple(posts))
     finally:

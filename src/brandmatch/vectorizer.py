@@ -12,13 +12,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .content_synthesis import ContentDocument
 from .errors import EmptyCorpusError
 
+# numpy is imported inside the functions that compute, so validate and synth never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 class Weighting(enum.Enum):
     COUNTS = "counts"
@@ -65,6 +66,7 @@ def build_vocabulary(documents: Sequence[ContentDocument]) -> Vocabulary:
 def count_vectorize(documents: Sequence[ContentDocument],
                     vocabulary: Vocabulary) -> DocTermMatrix:
     """Entry (i, j) counts occurrences of token j in document i; unknown tokens are ignored."""
+    import numpy as np
     if len(vocabulary) == 0:
         raise EmptyCorpusError("vocabulary is empty")
     index = vocabulary.token_to_index
@@ -82,6 +84,7 @@ def tfidf_transform(matrix: DocTermMatrix) -> DocTermMatrix:
     All-zero rows stay all-zero. idf is non-increasing in document frequency,
     so widely shared tokens are down-weighted.
     """
+    import numpy as np
     if matrix.weighting is not Weighting.COUNTS:
         raise ValueError("tfidf_transform expects a counts-weighted matrix")
     counts = matrix.values.astype(np.float64)

@@ -283,6 +283,34 @@ def test_import_leaves_out_network_modules():
     assert result.stdout.strip() == ""
 
 
+_RUN_MAIN = ("import sys\nfrom brandmatch.cli import main\ntry:\n    code = main(sys.argv[1:])\n"
+             "except SystemExit as stop:\n    code = stop.code\n"
+             "print(code, 'numpy' in sys.modules)")
+
+
+def _fresh_interpreter(program, *argv):
+    """Last line a new interpreter prints running ``program`` with ``argv``."""
+    source = str(Path(brandmatch.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", program, *map(str, argv)],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": source}, check=True)
+    return result.stdout.splitlines()[-1]
+
+
+def test_only_commands_that_build_a_matrix_load_numpy(fixture_dir, tmp_path):
+    # pytest's own process already holds numpy, so each probe is a new interpreter
+    for module in ("brandmatch", "brandmatch.cli"):
+        probe = f"import sys, {module}; print('numpy' in sys.modules)"
+        assert _fresh_interpreter(probe) == "False", module
+    pipeline = _pipeline_args(fixture_dir, "--target", "dogs_brand")
+    assert _fresh_interpreter(_RUN_MAIN, "--version") == "0 False"
+    assert _fresh_interpreter(_RUN_MAIN, "validate", *pipeline) == "0 False"
+    assert _fresh_interpreter(_RUN_MAIN, "synth", "--out", tmp_path / "s",
+                              "--brand", "dogs") == "0 False"
+    # the probe does see numpy where a command needs it
+    assert _fresh_interpreter(_RUN_MAIN, "match", *pipeline) == "0 True"
+
+
 def test_embed_deterministic(fixture_dir, tmp_path):
     outputs = []
     for i in (1, 2):
@@ -577,18 +605,21 @@ def test_exit_table_names_only_public_types():
 
 @pytest.mark.parametrize("flag, message", [
     ("--top-k-tags", "top_k must be a positive integer"),
-    ("--image-cap", "image_cap must be a positive integer")])
+    ("--image-cap", "image_cap must be a positive integer"),
+    ("--k", "k must be a positive integer")])
 def test_validate_rejects_the_flag_values_match_rejects(flag, message, fixture_dir, tmp_path,
                                                         capsys):
     code = main(["match", *_pipeline_args(fixture_dir, "--target", "dogs_brand", flag, "0")])
     assert code == EXIT_USAGE
     assert _single_error_line(capsys.readouterr().err) == f"error: {message}"
     empty = write_user_list(tmp_path, [])
-    # rejected before any file is read: a missing user list makes no difference
-    for users in (fixture_dir / "users.txt", empty, tmp_path / "missing.txt"):
-        code = main(["validate", "--users", str(users), "--metadata", str(fixture_dir),
-                     flag, "0"])
-        captured = capsys.readouterr()
-        assert code == EXIT_USAGE
-        assert captured.out == ""
-        assert _single_error_line(captured.err) == f"error: {message}"
+    # rejected before any file is read: an empty or missing user list makes no difference
+    for command in ("match",) if flag == "--k" else ("validate", "match", "embed"):
+        target = [] if command == "validate" else ["--target", "x"]
+        for users in (fixture_dir / "users.txt", empty, tmp_path / "missing.txt"):
+            code = main([command, "--users", str(users), "--metadata", str(fixture_dir),
+                         *target, flag, "0", *_output_args(command, tmp_path)])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE, (command, users)
+            assert captured.out == ""
+            assert _single_error_line(captured.err) == f"error: {message}"

@@ -263,7 +263,11 @@ def test_any_json_value_loads_or_raises_a_package_error(property_dir, value, ima
     path.write_text(json.dumps(value), encoding="utf-8")
     try:
         profile = load_profile(path, "u", image_cap=image_cap)
-    except BrandMatchError:
+    except BrandMatchError as capped:
+        # posts the cap drops are checked all the same: the uncapped load fails alike
+        with pytest.raises(BrandMatchError) as uncapped:
+            load_profile(path, "u")
+        assert (type(uncapped.value), str(uncapped.value)) == (type(capped), str(capped))
         return
     assert profile == apply_image_cap(load_profile(path, "u"), image_cap)
 

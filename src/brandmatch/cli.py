@@ -40,8 +40,8 @@ from .fixtures import (
 from .matcher import DEFAULT_K, knn_match, pairwise_distances
 from .profile_store import (
     DEFAULT_IMAGE_CAP,
-    Profile,
     ProfileSet,
+    _map_in_two_processes,
     apply_image_cap,
     check_username,
     load_profile,
@@ -104,41 +104,42 @@ def _write_outputs(outputs: _Outputs) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Report per-profile post/image counts and schema errors; 0 iff all usable."""
-    entries = parse_user_list(args.users)
-    ok_count = warning_count = error_count = 0
-    target: Optional[Profile] = None
-    for username, _ in entries:
+    usernames = [username for username, _ in parse_user_list(args.users)]
+
+    def check(username: str) -> tuple[int, int, bool] | str:  # counts, target lacks tokens
         try:
             full = load_profile(args.metadata / f"{username}.json", username)
         except BrandMatchError as error:
-            print(f"{username}\tERROR: {error}")
+            return str(error)
+        capped = apply_image_cap(full, args.image_cap)
+        return (len(full.posts), capped.classifiable_post_count, username == args.target
+                and not synthesize_document(capped, top_k=args.top_k_tags).tokens)
+
+    ok_count = warning_count = error_count = 0
+    empty_target = False
+    for result, username in zip(_map_in_two_processes(check, usernames), usernames):
+        if isinstance(result, str):
+            print(f"{username}\tERROR: {result}")
             error_count += 1
             continue
-        capped = apply_image_cap(full, args.image_cap)
-        if username == args.target:
-            target = capped
-        if capped.is_vectorizable:
-            ok_count += 1
-            status = "ok"
-        else:
-            warning_count += 1
-            status = "warning: no classifiable media"
-        print(f"{username}\tposts={len(full.posts)}\timages={capped.classifiable_post_count}"
-              f"\t{status}")
+        posts, images, lacks_tokens = result
+        empty_target |= lacks_tokens
+        ok_count, warning_count = ok_count + bool(images), warning_count + (not images)
+        status = "ok" if images else "warning: no classifiable media"
+        print(f"{username}\tposts={posts}\timages={images}\t{status}")
 
     if args.target is not None:
-        if args.target not in {u for u, _ in entries}:
+        if args.target not in usernames:
             print(f"{args.target}\tERROR: target not in user list")
             error_count += 1
-        elif (target is not None
-              and not synthesize_document(target, top_k=args.top_k_tags).tokens):
+        elif empty_target:
             print(f"{args.target}\tERROR: target has no classifiable media")
             error_count += 1
     if warning_count and not ok_count:
         print("ERROR: no profile has classifiable media; nothing to match on")
         error_count += 1
 
-    print(f"validated {len(entries)} profiles: {ok_count} ok, "
+    print(f"validated {len(usernames)} profiles: {ok_count} ok, "
           f"{warning_count} warnings, {error_count} errors")
     return EXIT_OK if error_count == 0 else EXIT_FAILURE
 

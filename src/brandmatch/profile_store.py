@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import gc
 import json
+import marshal
+import os
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import MalformedFileError, MissingProfileFileError, UnknownTargetError
 
@@ -61,11 +65,6 @@ class Profile:
     def classifiable_post_count(self) -> int:
         return sum(1 for p in self.posts if p.tag_predictions)
 
-    @property
-    def is_vectorizable(self) -> bool:
-        """True when at least one post carries tag predictions."""
-        return self.classifiable_post_count > 0
-
 
 @dataclass(frozen=True)
 class ProfileSet:
@@ -81,10 +80,6 @@ class ProfileSet:
             raise MalformedFileError(f"duplicate usernames: {', '.join(dupes)}")
         if self.target_index is not None and not 0 <= self.target_index < len(self.profiles):
             raise IndexError(f"target_index {self.target_index} outside 0..{len(self.profiles) - 1}")
-
-    @property
-    def usernames(self) -> tuple[str, ...]:
-        return tuple(p.username for p in self.profiles)
 
     @property
     def target(self) -> Optional[Profile]:
@@ -150,101 +145,109 @@ def load_profile(path: str | Path, username: str,
     ``path`` is not a file, and MalformedFileError for any break of the format,
     tag labels and scores of different lengths included. Unknown keys are ignored.
     """
-    if image_cap is not None and image_cap < 1:
-        raise ValueError("image_cap must be a positive integer")
-    path = Path(path)
-    # A JSON tree and the frozen records built from it hold no reference cycles,
-    # so reference counting frees them as before. Without the pause, the cyclic
-    # collector runs a few times per file, and its full collections rescan
-    # every profile already loaded.
+    with _collector_paused():
+        return _build_profile(username, _read_posts(Path(path), username, image_cap))
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    # The records hold no reference cycles; full collections would rescan all loaded so far.
     collector_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (FileNotFoundError, NotADirectoryError):
-            raise MissingProfileFileError(f"{username}: no metadata file at {path}") from None
-        except IsADirectoryError:
-            raise MissingProfileFileError(f"{username}: {path} is a directory, "
-                                          "not a metadata file") from None
-        except (ValueError, RecursionError) as exc:
-            raise MalformedFileError(f"{username}: invalid JSON in {path}: {exc}") from None
-        if type(data) is not list:
-            raise MalformedFileError(f"{username}: {path} does not hold a JSON array")
-
-        posts = []
-        try:
-            for i, raw in enumerate(data):
-                if type(raw) is not dict:
-                    raise MalformedFileError("post entry is not an object")
-                is_video = raw.get("is_video", False)
-                if type(is_video) is not bool:
-                    raise MalformedFileError("is_video is not a boolean")
-                urls = raw.get("urls", [])
-                if type(urls) is not list:
-                    raise MalformedFileError("urls is not an array of strings")
-                for url in urls:
-                    if type(url) is not str:
-                        raise MalformedFileError("urls is not an array of strings")
-                hashtags = raw.get("tags", [])
-                if type(hashtags) is not list:
-                    raise MalformedFileError("tags is not an array of strings")
-                for hashtag in hashtags:
-                    if type(hashtag) is not str:
-                        raise MalformedFileError("tags is not an array of strings")
-
-                keep = image_cap is None or (not is_video and len(posts) < image_cap)
-                predictions = []
-                contents = None if is_video else raw.get("image_contents")
-                scores = None if is_video else raw.get("image_scores")
-                if contents is not None or scores is not None:
-                    if contents is None:
-                        contents = []
-                    if scores is None:
-                        scores = []
-                    if type(contents) is not list:
-                        raise MalformedFileError("image_contents is not an array")
-                    if type(scores) is not list:
-                        raise MalformedFileError("image_scores is not an array")
-                    if len(contents) != len(scores):
-                        raise MalformedFileError(
-                            f"{len(contents)} image_contents vs {len(scores)} image_scores")
-                    if len(contents) > MAX_TAGS_PER_POST:
-                        raise MalformedFileError(
-                            f"more than {MAX_TAGS_PER_POST} image_contents")
-                    for label, score in zip(contents, scores):
-                        if type(label) is not str:
-                            raise MalformedFileError("image_contents entry is not a string")
-                        if type(score) is not float and type(score) is not int:
-                            raise MalformedFileError("image_scores entry is not a number")
-                        # records only for the posts the cap keeps; the others get
-                        # TagPrediction's own blank-label and [0, 1] checks
-                        if keep:
-                            predictions.append(TagPrediction(label, float(score)))
-                        else:
-                            _check_tag(label, float(score))
-                    if scores != sorted(scores, reverse=True):
-                        raise MalformedFileError("image_scores not sorted non-increasing")
-
-                like_count = _parse_count(raw.get("edge_media_preview_like"),
-                                          "edge_media_preview_like")
-                comment_count = _parse_count(raw.get("edge_media_to_comment"),
-                                             "edge_media_to_comment")
-                caption = _parse_caption(raw.get("edge_media_to_caption"))
-                if keep:
-                    posts.append(Post(
-                        urls[0].rsplit("/", 1)[-1] if urls else f"post-{i}",
-                        tuple(predictions), like_count, comment_count, caption,
-                        tuple(hashtags), is_video))
-        except MalformedFileError as exc:
-            raise MalformedFileError(f"{username}: post {i}: {exc}") from None
-        except (ValueError, OverflowError) as exc:  # from _check_tag, or float() of a huge int
-            raise MalformedFileError(f"{username}: post {i}: {exc}") from None
-        return Profile(username=username, posts=tuple(posts))
+        yield
     finally:
         if collector_was_enabled:
             gc.enable()
+
+
+def _build_profile(username: str, rows: list, category: Optional[str] = None) -> Profile:
+    return Profile(username, tuple(Post(post_id, tuple(TagPrediction(*tag) for tag in tags), *fields)
+                                   for post_id, tags, *fields in rows), category)
+
+
+def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tuple]:
+    """Decode and check one file; each kept post as ``Post``'s fields, tags as pairs."""
+    if image_cap is not None and image_cap < 1:
+        raise ValueError("image_cap must be a positive integer")
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (FileNotFoundError, NotADirectoryError):
+        raise MissingProfileFileError(f"{username}: no metadata file at {path}") from None
+    except IsADirectoryError:
+        raise MissingProfileFileError(f"{username}: {path} is a directory, "
+                                      "not a metadata file") from None
+    except (ValueError, RecursionError) as exc:
+        raise MalformedFileError(f"{username}: invalid JSON in {path}: {exc}") from None
+    if type(data) is not list:
+        raise MalformedFileError(f"{username}: {path} does not hold a JSON array")
+
+    posts = []
+    try:
+        for i, raw in enumerate(data):
+            if type(raw) is not dict:
+                raise MalformedFileError("post entry is not an object")
+            is_video = raw.get("is_video", False)
+            if type(is_video) is not bool:
+                raise MalformedFileError("is_video is not a boolean")
+            urls = raw.get("urls", [])
+            if type(urls) is not list:
+                raise MalformedFileError("urls is not an array of strings")
+            for url in urls:
+                if type(url) is not str:
+                    raise MalformedFileError("urls is not an array of strings")
+            hashtags = raw.get("tags", [])
+            if type(hashtags) is not list:
+                raise MalformedFileError("tags is not an array of strings")
+            for hashtag in hashtags:
+                if type(hashtag) is not str:
+                    raise MalformedFileError("tags is not an array of strings")
+
+            keep = image_cap is None or (not is_video and len(posts) < image_cap)
+            predictions = []
+            contents = None if is_video else raw.get("image_contents")
+            scores = None if is_video else raw.get("image_scores")
+            if contents is not None or scores is not None:
+                if contents is None:
+                    contents = []
+                if scores is None:
+                    scores = []
+                if type(contents) is not list:
+                    raise MalformedFileError("image_contents is not an array")
+                if type(scores) is not list:
+                    raise MalformedFileError("image_scores is not an array")
+                if len(contents) != len(scores):
+                    raise MalformedFileError(
+                        f"{len(contents)} image_contents vs {len(scores)} image_scores")
+                if len(contents) > MAX_TAGS_PER_POST:
+                    raise MalformedFileError(
+                        f"more than {MAX_TAGS_PER_POST} image_contents")
+                for label, score in zip(contents, scores):
+                    if type(label) is not str:
+                        raise MalformedFileError("image_contents entry is not a string")
+                    if type(score) is not float and type(score) is not int:
+                        raise MalformedFileError("image_scores entry is not a number")
+                    confidence = float(score)
+                    _check_tag(label, confidence)
+                    if keep:
+                        predictions.append((label, confidence))
+                if scores != sorted(scores, reverse=True):
+                    raise MalformedFileError("image_scores not sorted non-increasing")
+
+            like_count = _parse_count(raw.get("edge_media_preview_like"),
+                                      "edge_media_preview_like")
+            comment_count = _parse_count(raw.get("edge_media_to_comment"),
+                                         "edge_media_to_comment")
+            caption = _parse_caption(raw.get("edge_media_to_caption"))
+            if keep:
+                posts.append((urls[0].rsplit("/", 1)[-1] if urls else f"post-{i}",
+                              tuple(predictions), like_count, comment_count, caption,
+                              tuple(hashtags), is_video))
+    # ValueError from _check_tag, OverflowError from float() of a huge int
+    except (MalformedFileError, ValueError, OverflowError) as exc:
+        raise MalformedFileError(f"{username}: post {i}: {exc}") from None
+    return posts
 
 
 def check_username(username: str) -> None:
@@ -306,16 +309,61 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
     """
     entries = parse_user_list(user_list_path)
     metadata_dir = Path(metadata_dir)
-    target_index: Optional[int] = None
-    profiles = []
-    for i, (username, category) in enumerate(entries):
-        profile = load_profile(metadata_dir / f"{username}.json", username, image_cap=image_cap)
-        profiles.append(replace(profile, category=category))
-        if target_username is not None and username == target_username:
-            target_index = i
-    if target_username is not None and target_index is None:
+    with _collector_paused():
+        rows = _map_in_two_processes(lambda entry: _read_posts(
+            metadata_dir / f"{entry[0]}.json", entry[0], image_cap), entries)
+        profiles = tuple(_build_profile(username, posts, category)
+                         for posts, (username, category) in zip(rows, entries))
+    usernames = [username for username, _ in entries]
+    if target_username is not None and target_username not in usernames:
         raise UnknownTargetError(f"target {target_username!r} not in user list")
-    return ProfileSet(profiles=tuple(profiles), target_index=target_index)
+    return ProfileSet(profiles, None if target_username is None
+                      else usernames.index(target_username))
+
+
+def _map_in_two_processes(function: Callable, items: list) -> Iterator:
+    """Yield ``function(item)`` for every item in order; a forked child computes the second half.
+
+    The child's values come back through a pipe as ``marshal`` bytes, so they must be
+    builtins. It stops at its first exception, and this process runs that item and the
+    rest, so errors are raised here in item order. With one usable core, or another
+    thread running, this is a plain loop."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if len(items) < 2 or (cpus or 1) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield from map(function, items)
+        return
+    half, pid = (len(items) + 1) // 2, None
+    read_end, write_end = os.pipe()
+    with suppress(OSError):  # without a child, this process computes the second half too
+        pid = os.fork()
+    if pid == 0:
+        try:
+            values = []
+            with suppress(Exception):  # the parent runs the failing item again
+                for item in items[half:]:
+                    values.append(function(item))
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(values))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    data = None
+    try:
+        with open(read_end, "rb") as pipe:
+            yield from map(function, items[:half])
+            data = pipe.read()
+    finally:
+        if pid and data is None:  # this half raised, or the caller stopped early
+            import signal
+            os.kill(pid, signal.SIGKILL)
+        if pid:
+            os.waitpid(pid, 0)
+    try:
+        values = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        values = []  # no child, or it died before it sent its values
+    yield from values
+    yield from map(function, items[half + len(values):])
 
 
 def serialize_profile(profile: Profile) -> list[dict]:

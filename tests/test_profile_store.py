@@ -290,7 +290,7 @@ def test_load_profile_set_order_and_target(tmp_path):
         write_profile_file(tmp_path, name, [image_post(["dog"], [0.9])])
     users = write_user_list(tmp_path, ["alice", "bob", "carol"])
     profile_set = load_profile_set(users, tmp_path, target_username="bob")
-    assert profile_set.usernames == ("alice", "bob", "carol")
+    assert [p.username for p in profile_set.profiles] == ["alice", "bob", "carol"]
     assert profile_set.target_index == 1
     assert profile_set.target.username == "bob"
 
@@ -368,8 +368,8 @@ def test_vectorizable_flag():
     with_tags = Profile(username="a", posts=(
         Post(id="p", tag_predictions=(TagPrediction("dog", 0.5),)),))
     only_video = Profile(username="b", posts=(Post(id="v", is_video=True),))
-    assert with_tags.is_vectorizable
-    assert not only_video.is_vectorizable
+    assert with_tags.classifiable_post_count == 1
+    assert only_video.classifiable_post_count == 0
 
 
 def test_tag_prediction_validation():

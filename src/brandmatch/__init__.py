@@ -50,7 +50,7 @@ from .vectorizer import (
     export_matrix_tsv,
     tfidf_transform,
 )
-from .visualization import PALETTE, PlotSpec, emit_scatter_svg
+from .visualization import PALETTE, emit_scatter_svg
 
 __all__ = [
     "BrandMatchError",
@@ -67,7 +67,6 @@ __all__ = [
     "MatchResult",
     "MissingProfileFileError",
     "PALETTE",
-    "PlotSpec",
     "Post",
     "Profile",
     "ProfileSet",

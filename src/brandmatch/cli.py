@@ -16,13 +16,8 @@ from typing import Optional
 from . import __version__
 from .content_synthesis import DEFAULT_TOP_K, synthesize_document
 from .embedding import classical_mds, smacof_refine
-# Every exit code is imported, also those unused here, so callers can take them from here.
 from .errors import (
-    EXIT_BAD_TARGET,
-    EXIT_EMPTY_CORPUS,
     EXIT_FAILURE,
-    EXIT_MALFORMED,
-    EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_USAGE,
     BrandMatchError,
@@ -57,7 +52,7 @@ from .vectorizer import (
     export_matrix_tsv,
     tfidf_transform,
 )
-from .visualization import PlotSpec, emit_scatter_svg
+from .visualization import emit_scatter_svg
 
 # rendered outputs, written together by _write_outputs once every one is ready
 _Outputs = list[tuple[Path, str]]
@@ -147,11 +142,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     """Load, synthesize, vectorize, and rank the k nearest influencers to the target."""
     profile_set, matrix, outputs = _build_matrix(args)
+    result = knn_match(matrix, profile_set.target_index, k=args.k)
     m = len(profile_set.profiles)
     if args.k > m - 1:
         print(f"warning: k={args.k} truncated to {m - 1} (only {m} profiles)",
               file=sys.stderr)
-    result = knn_match(matrix, profile_set.target_index, k=args.k)
     report = result.report()
     if args.output is not None:
         outputs.append((args.output, report))
@@ -163,16 +158,6 @@ def cmd_match(args: argparse.Namespace) -> int:
     print("Most closely related profiles are:")
     print(report.partition("\n")[2], end="")
     return EXIT_OK
-
-
-def _plot_category_order(profile_set: ProfileSet) -> tuple[str, ...]:
-    order: list[str] = []
-    for i, profile in enumerate(profile_set.profiles):
-        if i == profile_set.target_index or profile.category is None:
-            continue
-        if profile.category not in order:
-            order.append(profile.category)
-    return tuple(order)
 
 
 def cmd_embed_and_plot(args: argparse.Namespace) -> int:
@@ -192,9 +177,8 @@ def cmd_embed_and_plot(args: argparse.Namespace) -> int:
     for label, category, (x, y) in zip(refined.row_labels, categories,
                                        refined.coordinates):
         lines.append(f"{label}\t{category or ''}\t{float(x)!r}\t{float(y)!r}")
-    spec = PlotSpec(title=f"Target brand profile: {args.target}",
-                    category_order=_plot_category_order(profile_set))
-    svg = emit_scatter_svg(refined, spec, target_index=profile_set.target_index)
+    svg = emit_scatter_svg(refined, f"Target brand profile: {args.target}",
+                           target_index=profile_set.target_index)
 
     outputs += [(args.embedding, "\n".join(lines) + "\n"), (args.plot, svg)]
     _write_outputs(outputs)

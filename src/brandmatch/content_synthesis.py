@@ -25,14 +25,14 @@ def tokenize(text: str) -> list[str]:
     return [m.lower() for m in _TOKEN_RE.findall(text)]
 
 
-def synthesize_document(profile: Profile, top_k: int = DEFAULT_TOP_K,
-                        min_confidence: float = 0.0) -> ContentDocument:
+def synthesize_document(profile: Profile, top_k: int = DEFAULT_TOP_K) -> ContentDocument:
     """Concatenate the top ``top_k`` tag labels of every image post into tokens.
 
     Post order then tag-rank order; video posts and posts without predictions
-    contribute nothing. Multi-word labels split into word tokens, so
-    "golden retriever" and "labrador retriever" share a token. A profile with
-    no classifiable media yields an empty document.
+    contribute nothing, and a tag counts whatever its confidence. Multi-word
+    labels split into word tokens, so "golden retriever" and "labrador
+    retriever" share a token. A profile with no classifiable media yields an
+    empty document.
     """
     if top_k < 1:
         raise ValueError("top_k must be a positive integer")
@@ -43,10 +43,9 @@ def synthesize_document(profile: Profile, top_k: int = DEFAULT_TOP_K,
         if post.is_video:
             continue
         for prediction in post.tag_predictions[:top_k]:
-            if prediction.confidence >= min_confidence:
-                label = prediction.label
-                words = label_tokens.get(label)
-                if words is None:
-                    words = label_tokens[label] = tokenize(label)
-                tokens.extend(words)
+            label = prediction.label
+            words = label_tokens.get(label)
+            if words is None:
+                words = label_tokens[label] = tokenize(label)
+            tokens.extend(words)
     return ContentDocument(username=profile.username, tokens=tuple(tokens))

@@ -51,7 +51,7 @@ class InvalidDistanceMatrixError(BrandMatchError):
 
 
 class UnknownCategoryError(BrandMatchError):
-    """A category name is not known to the receiver (plot order or fixture spec)."""
+    """A category name is not in the fixture spec's categories."""
 
 
 class DegenerateEmbeddingWarning(UserWarning):

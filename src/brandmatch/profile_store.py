@@ -81,10 +81,6 @@ class ProfileSet:
         if self.target_index is not None and not 0 <= self.target_index < len(self.profiles):
             raise IndexError(f"target_index {self.target_index} outside 0..{len(self.profiles) - 1}")
 
-    @property
-    def target(self) -> Optional[Profile]:
-        return None if self.target_index is None else self.profiles[self.target_index]
-
 
 def _parse_count(raw: object, key: str) -> int:
     if raw is None:

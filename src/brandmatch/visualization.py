@@ -2,19 +2,18 @@
 
 Category-colored circles for influencers, a gold star for the target brand,
 a username label beside every point, and a legend. Output is a pure function
-of the inputs: same embedding and spec, byte-identical SVG.
+of the inputs: same embedding, title and target, byte-identical SVG.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .embedding import Embedding2D
-from .errors import UnknownCategoryError, UnknownTargetError
+from .errors import UnknownTargetError
 
-# 10 distinguishable category colors (assigned by category_order position).
+# 10 distinguishable category colors, assigned in order of each category's first row.
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -32,24 +31,9 @@ _HEIGHT_PX = 900
 _MARGIN_PX = 60
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    title: str
-    category_order: tuple[str, ...] = field(default_factory=tuple)
-
-
 def _escape(text: str) -> str:
     # XML character data; & first so the entities added after are kept
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _color_for(category: Optional[str], order: tuple[str, ...]) -> str:
-    if category is None:
-        return UNCATEGORIZED_COLOR
-    try:
-        return PALETTE[order.index(category) % len(PALETTE)]
-    except ValueError:
-        raise UnknownCategoryError(f"category {category!r} not in plot category order") from None
 
 
 def _viewport_transform(coordinates):
@@ -90,15 +74,23 @@ def _star_path(cx: float, cy: float, outer: float = _STAR_OUTER) -> str:
     return "M " + " L ".join(points) + " Z"
 
 
-def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
+def emit_scatter_svg(embedding: Embedding2D, title: str,
                      target_index: Optional[int] = None) -> str:
-    """Render the embedding as a self-contained SVG 1.1 document string."""
+    """Render the embedding as a self-contained SVG 1.1 document string.
+
+    Categories take palette colors in order of first appearance, skipping the
+    target row; the legend lists them in that order, then the target.
+    """
     m = embedding.coordinates.shape[0]
     if m < 1:
         raise ValueError("embedding has no rows")
     if target_index is not None and not 0 <= target_index < m:
         raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
     categories = embedding.categories or (None,) * m
+    colors: dict[str, str] = {}
+    for i, category in enumerate(categories):
+        if i != target_index and category is not None:
+            colors.setdefault(category, PALETTE[len(colors) % len(PALETTE)])
     to_pixel = _viewport_transform(embedding.coordinates)
 
     parts = [
@@ -109,7 +101,7 @@ def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
         f'<rect x="0" y="0" width="{_WIDTH_PX}" height="{_HEIGHT_PX}" fill="#ffffff"/>',
         f'<text class="title" x="{_WIDTH_PX / 2:.2f}" y="{_MARGIN_PX / 2:.2f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="16">'
-        f'{_escape(spec.title)}</text>',
+        f'{_escape(title)}</text>',
     ]
 
     pixels = [to_pixel(float(x), float(y)) for x, y in embedding.coordinates]
@@ -118,7 +110,7 @@ def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
             parts.append(f'<path class="target" d="{_star_path(px, py)}" '
                          f'fill="{TARGET_COLOR}" stroke="#806600" stroke-width="1"/>')
         else:
-            color = _color_for(categories[i], spec.category_order)
+            color = colors.get(categories[i], UNCATEGORIZED_COLOR)
             parts.append(f'<circle class="point" cx="{px:.2f}" cy="{py:.2f}" '
                          f'r="{_POINT_RADIUS:.2f}" fill="{color}"/>')
     for i, (px, py) in enumerate(pixels):
@@ -126,8 +118,7 @@ def emit_scatter_svg(embedding: Embedding2D, spec: PlotSpec,
                      f'font-family="sans-serif" font-size="11">'
                      f'{_escape(embedding.row_labels[i])}</text>')
 
-    legend_entries = [(name, PALETTE[i % len(PALETTE)])
-                      for i, name in enumerate(spec.category_order)]
+    legend_entries = list(colors.items())
     if target_index is not None:
         legend_entries.append(("target", TARGET_COLOR))
     legend_x = _WIDTH_PX - _MARGIN_PX - 130

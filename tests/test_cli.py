@@ -13,7 +13,8 @@ import pytest
 
 import brandmatch
 from brandmatch import cli, embedding
-from brandmatch.cli import (
+from brandmatch.cli import main
+from brandmatch.errors import (
     EXIT_BAD_TARGET,
     EXIT_EMPTY_CORPUS,
     EXIT_FAILURE,
@@ -21,7 +22,6 @@ from brandmatch.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_USAGE,
-    main,
 )
 from helpers import image_post, video_post, write_profile_file, write_user_list
 
@@ -113,6 +113,18 @@ def test_match_k_truncation_warns(fixture_dir, capsys):
     assert len(ranked) == 25
 
 
+def test_match_single_profile_errors_without_truncation_warning(tmp_path, capsys):
+    write_profile_file(tmp_path, "a", [image_post(["dog"], [0.9])])
+    users = write_user_list(tmp_path, ["a"])
+    code = main(["match", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "a"])
+    captured = capsys.readouterr()
+    assert code == EXIT_EMPTY_CORPUS
+    assert captured.out == ""
+    assert _single_error_line(captured.err) == \
+        "error: need at least two profiles to rank neighbors"
+
+
 def test_match_unknown_target(fixture_dir, capsys):
     code = main(["match", *_pipeline_args(fixture_dir, "--target", "nobody")])
     assert code == EXIT_BAD_TARGET
@@ -189,6 +201,23 @@ def test_embed_writes_tsv_and_svg(fixture_dir, tmp_path, capsys):
         assert f">{name}</text>" in text
     import xml.etree.ElementTree as ET
     ET.fromstring(text)
+
+
+def test_embed_colors_follow_first_appearance_after_the_target(tmp_path):
+    for name, label in (("brand", "pizza"), ("u1", "dog"), ("u2", "cat"), ("u3", "pizza"),
+                        ("u4", "dog"), ("u5", "car")):
+        write_profile_file(tmp_path, name, [image_post([label, "plate"], [0.9, 0.1])])
+    users = write_user_list(tmp_path, [("brand", "target"), ("u1", "dogs"), ("u2", None),
+                                       ("u3", "target"), ("u4", "dogs"), ("u5", "cars")])
+    code = main(["embed", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "brand", "--embedding", str(tmp_path / "e.tsv"),
+                 "--plot", str(tmp_path / "p.svg")])
+    assert code == EXIT_OK
+    svg = (tmp_path / "p.svg").read_text()
+    assert re.findall(r'<circle class="point" [^>]* fill="(#\w+)"/>', svg) == \
+        ["#1f77b4", "#999999", "#ff7f0e", "#1f77b4", "#2ca02c"]
+    assert re.findall(r'fill="(#\w+)"/>\n<text class="legend" [^>]*>([^<]*)</text>', svg) == \
+        [("#1f77b4", "dogs"), ("#ff7f0e", "target"), ("#2ca02c", "cars"), ("#ffd700", "target")]
 
 
 def test_embed_two_profiles(tmp_path):
@@ -601,6 +630,12 @@ def test_exit_table_names_only_public_types():
     # one error type for each input-error code
     for code in (EXIT_MISSING_INPUT, EXIT_MALFORMED, EXIT_BAD_TARGET, EXIT_EMPTY_CORPUS):
         assert sum(code in codes for codes in FORMATS_EXIT_CODES.values()) == 1, code
+
+
+def test_every_public_name_resolves_once():
+    assert len(set(brandmatch.__all__)) == len(brandmatch.__all__)
+    for name in brandmatch.__all__:
+        assert hasattr(brandmatch, name), name
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -105,27 +106,19 @@ def test_determinism():
     assert synthesize_document(profile) == synthesize_document(profile)
 
 
-def test_min_confidence_filter():
-    profile = Profile(username="u", posts=(
-        _post([("aa", 0.9), ("bb", 0.2), ("cc", 0.05)]),))
-    assert synthesize_document(profile, min_confidence=0.1).tokens == ("aa", "bb")
-    assert synthesize_document(profile, min_confidence=0.0).tokens == ("aa", "bb", "cc")
-
-
 def test_top_k_must_be_positive():
     with pytest.raises(ValueError):
         synthesize_document(Profile(username="u"), top_k=0)
 
 
-def _reference_synthesize_document(profile, top_k=3, min_confidence=0.0):
+def _reference_synthesize_document(profile, top_k=3):
     # the plain loop: every kept label is tokenized where it occurs
     tokens = []
     for post in profile.posts:
         if post.is_video:
             continue
         for prediction in post.tag_predictions[:top_k]:
-            if prediction.confidence >= min_confidence:
-                tokens.extend(tokenize(prediction.label))
+            tokens.extend(tokenize(prediction.label))
     return ContentDocument(username=profile.username, tokens=tuple(tokens))
 
 
@@ -146,12 +139,21 @@ def _synth_profiles():
             generate_brand_profile(spec, "dogs", "dogs_brand")]
 
 
+def _with_confidence(profile, confidence):
+    posts = tuple(replace(post, tag_predictions=tuple(
+        TagPrediction(prediction.label, confidence) for prediction in post.tag_predictions))
+        for post in profile.posts)
+    return replace(profile, posts=posts)
+
+
 @pytest.mark.parametrize("top_k", [1, 2, 3, 4])
-@pytest.mark.parametrize("min_confidence", [0.0, 0.05, 0.3, 0.96])
-def test_document_equals_the_plain_loop(top_k, min_confidence):
+@pytest.mark.parametrize("confidence", [0.0, 0.05, 0.3, 0.96])
+def test_document_equals_the_plain_loop(top_k, confidence):
+    # every tag scored ``confidence``: a tag counts whatever its score, 0.0 included
     for profile in [_repetitive_profile(), *_synth_profiles()]:
-        assert (synthesize_document(profile, top_k=top_k, min_confidence=min_confidence)
-                == _reference_synthesize_document(profile, top_k, min_confidence))
+        profile = _with_confidence(profile, confidence)
+        assert (synthesize_document(profile, top_k=top_k)
+                == _reference_synthesize_document(profile, top_k))
 
 
 def test_each_distinct_label_tokenized_once_per_call(monkeypatch):

@@ -23,7 +23,8 @@ from brandmatch import (
     save_profile,
     serialize_profile,
 )
-from brandmatch.cli import EXIT_MALFORMED, main
+from brandmatch.cli import main
+from brandmatch.errors import EXIT_MALFORMED
 from helpers import image_post, video_post, write_profile_file, write_user_list
 
 
@@ -292,7 +293,7 @@ def test_load_profile_set_order_and_target(tmp_path):
     profile_set = load_profile_set(users, tmp_path, target_username="bob")
     assert [p.username for p in profile_set.profiles] == ["alice", "bob", "carol"]
     assert profile_set.target_index == 1
-    assert profile_set.target.username == "bob"
+    assert profile_set.profiles[profile_set.target_index].username == "bob"
 
 
 def test_load_profile_set_missing_file_names_user(tmp_path):

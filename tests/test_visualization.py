@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from brandmatch import (
+    PALETTE,
     Embedding2D,
-    PlotSpec,
-    UnknownCategoryError,
     UnknownTargetError,
     emit_scatter_svg,
 )
@@ -34,7 +33,7 @@ def _elements(svg, tag, cls=None):
 
 
 def test_single_point_no_target():
-    svg = emit_scatter_svg(_embedding([[0.0, 0.0]]), PlotSpec(title="one"))
+    svg = emit_scatter_svg(_embedding([[0.0, 0.0]]), "one")
     assert len(_elements(svg, "circle")) == 1
     assert len(_elements(svg, "text", "label")) == 1
     assert len(_elements(svg, "path")) == 0
@@ -46,10 +45,8 @@ def test_full_figure_structure():
     categories = [c for c in ("dogs", "cats", "mountains", "cars", "pizza")
                   for _ in range(5)] + ["target"]
     labels = [f"user{i:02d}" for i in range(25)] + ["brand"]
-    spec = PlotSpec(title="Target brand profile: brand",
-                    category_order=("dogs", "cats", "mountains", "cars", "pizza"))
-    svg = emit_scatter_svg(_embedding(coords, labels, categories), spec,
-                           target_index=25)
+    svg = emit_scatter_svg(_embedding(coords, labels, categories),
+                           "Target brand profile: brand", target_index=25)
     assert len(_elements(svg, "circle")) == 25
     assert len(_elements(svg, "path", "target")) == 1
     assert len(_elements(svg, "text", "label")) == 26
@@ -61,7 +58,7 @@ def test_full_figure_structure():
 def test_every_row_once_with_matching_label():
     labels = ("alice", "bob", "carol")
     svg = emit_scatter_svg(_embedding([[0, 0], [1, 0], [0, 1]], labels),
-                           PlotSpec(title="t"), target_index=1)
+                           "t", target_index=1)
     assert len(_elements(svg, "circle")) == 2
     assert len(_elements(svg, "path", "target")) == 1
     assert sorted(e.text for e in _elements(svg, "text", "label")) == sorted(labels)
@@ -71,60 +68,66 @@ def test_translation_yields_identical_svg():
     # dyadic coordinates and shift keep the float arithmetic exact
     coords = np.array([[0.0, 0.25], [1.5, -2.75], [-0.5, 0.5]])
     shifted = coords + np.array([3.25, -1.5])
-    spec = PlotSpec(title="t")
-    assert emit_scatter_svg(_embedding(coords), spec) == \
-        emit_scatter_svg(_embedding(shifted), spec)
+    assert emit_scatter_svg(_embedding(coords), "t") == \
+        emit_scatter_svg(_embedding(shifted), "t")
 
 
 def test_byte_identical_across_calls():
     rng = np.random.RandomState(11)
     embedding = _embedding(rng.rand(7, 2), categories=["a"] * 7)
-    spec = PlotSpec(title="repeat", category_order=("a",))
-    assert emit_scatter_svg(embedding, spec) == emit_scatter_svg(embedding, spec)
+    assert emit_scatter_svg(embedding, "repeat") == emit_scatter_svg(embedding, "repeat")
 
 
 def test_output_is_well_formed_xml():
     svg = emit_scatter_svg(_embedding([[0, 0], [1, 1]], labels=("a<b&c", 'd"e')),
-                           PlotSpec(title="<&>"))
+                           "<&>")
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.get("version") == "1.1"
 
 
 def test_colors_follow_category_order():
-    spec = PlotSpec(title="t", category_order=("zz", "aa"))
+    # first appearance, not name order; the target row's category takes no color
+    categories = ("brand", "zz", None, "aa", "zz", "brand")
     svg = emit_scatter_svg(
-        _embedding([[0, 0], [1, 1]], categories=("zz", "aa")), spec)
-    circles = _elements(svg, "circle")
-    assert circles[0].get("fill") == "#1f77b4"
-    assert circles[1].get("fill") == "#ff7f0e"
+        _embedding([[i, i % 2] for i in range(6)], categories=categories), "t",
+        target_index=0)
+    assert [c.get("fill") for c in _elements(svg, "circle")] == \
+        ["#1f77b4", "#999999", "#ff7f0e", "#1f77b4", "#2ca02c"]
+    assert [e.text for e in _elements(svg, "text", "legend")] == \
+        ["zz", "aa", "brand", "target"]
+    assert [e.get("fill") for e in _elements(svg, "rect", "legend-swatch")] == \
+        ["#1f77b4", "#ff7f0e", "#2ca02c", "#ffd700"]
+
+
+def test_palette_wraps_after_ten_categories():
+    categories = [f"c{i:02d}" for i in range(12)]
+    svg = emit_scatter_svg(_embedding([[i, i * i] for i in range(12)],
+                                      categories=categories), "t")
+    fills = [c.get("fill") for c in _elements(svg, "circle")]
+    assert fills[:10] == list(PALETTE) and fills[10:] == list(PALETTE[:2])
+    assert [e.text for e in _elements(svg, "text", "legend")] == categories
 
 
 def test_uncategorized_rows_drawn_neutral():
-    svg = emit_scatter_svg(_embedding([[0, 0], [1, 1]]), PlotSpec(title="t"))
+    svg = emit_scatter_svg(_embedding([[0, 0], [1, 1]]), "t")
     assert all(c.get("fill") == "#999999" for c in _elements(svg, "circle"))
-
-
-def test_unknown_category_rejected():
-    spec = PlotSpec(title="t", category_order=("dogs",))
-    with pytest.raises(UnknownCategoryError):
-        emit_scatter_svg(_embedding([[0, 0]], categories=("pizza",)), spec)
 
 
 def test_target_index_out_of_range():
     with pytest.raises(UnknownTargetError, match="^target index 4 outside 0..0$"):
-        emit_scatter_svg(_embedding([[0, 0]]), PlotSpec(title="t"), target_index=4)
+        emit_scatter_svg(_embedding([[0, 0]]), "t", target_index=4)
 
 
-def test_plot_spec_rejects_tiny_viewport():
+def test_viewport_size_cannot_be_asked_for():
     # the viewport is fixed at 900x900 px with a 60 px margin: none can be asked for
     with pytest.raises(TypeError):
-        PlotSpec(title="t", width_px=100, height_px=100, margin_px=60)
+        emit_scatter_svg(_embedding([[0, 0]]), "t", width_px=100)
 
 
 def test_aspect_ratio_preserved():
     # x range 10 units, y range 1 unit: the same scale applies to both axes
-    svg = emit_scatter_svg(_embedding([[0, 0], [10, 0], [0, 1]]), PlotSpec(title="t"))
+    svg = emit_scatter_svg(_embedding([[0, 0], [10, 0], [0, 1]]), "t")
     circles = _elements(svg, "circle")
     xs = [float(c.get("cx")) for c in circles]
     ys = [float(c.get("cy")) for c in circles]
@@ -134,9 +137,8 @@ def test_aspect_ratio_preserved():
 
 
 def test_markup_characters_escaped():
-    spec = PlotSpec(title="R&D <pizza> &amp;", category_order=("a<b",))
     svg = emit_scatter_svg(_embedding([[0.0, 0.0], [1.0, 1.0]], labels=["x&y", "z>w"],
-                                      categories=["a<b", "a<b"]), spec)
+                                      categories=["a<b", "a<b"]), "R&D <pizza> &amp;")
     assert ">R&amp;D &lt;pizza&gt; &amp;amp;</text>" in svg
     assert ">x&amp;y</text>" in svg and ">z&gt;w</text>" in svg
     assert ">a&lt;b</text>" in svg

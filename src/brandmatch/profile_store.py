@@ -25,7 +25,7 @@ MAX_TAGS_PER_POST = 5
 DEFAULT_IMAGE_CAP = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagPrediction:
     """One (label, confidence) pair emitted by the image classifier."""
 
@@ -44,7 +44,7 @@ def _check_tag(label: str, confidence: float) -> None:
         raise ValueError(f"confidence {confidence!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
     id: str
     tag_predictions: tuple[TagPrediction, ...] = ()
@@ -55,7 +55,7 @@ class Post:
     is_video: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     username: str
     posts: tuple[Post, ...] = ()
@@ -142,7 +142,7 @@ def load_profile(path: str | Path, username: str,
     tag labels and scores of different lengths included. Unknown keys are ignored.
     """
     with _collector_paused():
-        return _build_profile(username, _read_posts(Path(path), username, image_cap))
+        return _build_profile(username, _read_posts(Path(path), username, image_cap, {}))
 
 
 @contextmanager
@@ -162,8 +162,15 @@ def _build_profile(username: str, rows: list, category: Optional[str] = None) ->
                                    for post_id, tags, *fields in rows), category)
 
 
-def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tuple]:
-    """Decode and check one file; each kept post as ``Post``'s fields, tags as pairs."""
+def _read_posts(path: Path, username: str, image_cap: Optional[int],
+                strings: dict[str, str]) -> list[tuple]:
+    """Decode and check one file; each kept post as ``Post``'s fields, tags as pairs.
+
+    Kept tag labels and hashtags are looked up in ``strings``, a dict owned by the
+    load, so each distinct one is stored once. Not ``sys.intern``: interned strings
+    live as long as the process does.
+    """
+    shared = strings.setdefault
     if image_cap is not None and image_cap < 1:
         raise ValueError("image_cap must be a positive integer")
     try:
@@ -227,7 +234,7 @@ def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tup
                     confidence = float(score)
                     _check_tag(label, confidence)
                     if keep:
-                        predictions.append((label, confidence))
+                        predictions.append((shared(label, label), confidence))
                 if scores != sorted(scores, reverse=True):
                     raise MalformedFileError("image_scores not sorted non-increasing")
 
@@ -239,7 +246,7 @@ def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tup
             if keep:
                 posts.append((urls[0].rsplit("/", 1)[-1] if urls else f"post-{i}",
                               tuple(predictions), like_count, comment_count, caption,
-                              tuple(hashtags), is_video))
+                              tuple(shared(tag, tag) for tag in hashtags), is_video))
     # ValueError from _check_tag, OverflowError from float() of a huge int
     except (MalformedFileError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{username}: post {i}: {exc}") from None
@@ -305,9 +312,10 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
     """
     entries = parse_user_list(user_list_path)
     metadata_dir = Path(metadata_dir)
+    strings: dict[str, str] = {}  # a forked child fills its own copy
     with _collector_paused():
         rows = _map_in_two_processes(lambda entry: _read_posts(
-            metadata_dir / f"{entry[0]}.json", entry[0], image_cap), entries)
+            metadata_dir / f"{entry[0]}.json", entry[0], image_cap, strings), entries)
         profiles = tuple(_build_profile(username, posts, category)
                          for posts, (username, category) in zip(rows, entries))
     usernames = [username for username, _ in entries]
@@ -315,6 +323,14 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
         raise UnknownTargetError(f"target {target_username!r} not in user list")
     return ProfileSet(profiles, None if target_username is None
                       else usernames.index(target_username))
+
+
+def _thread_count() -> int:
+    """This process's threads; where ``/proc`` lists them, native ones (OpenBLAS's) too."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
 
 
 def _map_in_two_processes(function: Callable, items: list) -> Iterator:
@@ -325,7 +341,7 @@ def _map_in_two_processes(function: Callable, items: list) -> Iterator:
     rest, so errors are raised here in item order. With one usable core, or another
     thread running, this is a plain loop."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if len(items) < 2 or (cpus or 1) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if len(items) < 2 or (cpus or 1) < 2 or not hasattr(os, "fork") or _thread_count() > 1:
         yield from map(function, items)
         return
     half, pid = (len(items) + 1) // 2, None
@@ -368,7 +384,7 @@ def serialize_profile(profile: Profile) -> list[dict]:
     for post in profile.posts:
         raw: dict = {
             "is_video": post.is_video,
-            "urls": [post.id] if post.id else [],
+            "urls": [post.id],
             "edge_media_preview_like": {"count": post.like_count},
             "edge_media_to_comment": {"count": post.comment_count},
             "edge_media_to_caption": {

@@ -79,7 +79,8 @@ def emit_scatter_svg(embedding: Embedding2D, title: str,
     """Render the embedding as a self-contained SVG 1.1 document string.
 
     Categories take palette colors in order of first appearance, skipping the
-    target row; the legend lists them in that order, then the target.
+    target row; the legend lists them in that order, then the target. When the
+    star is drawn, other rows of category ``target`` share its gold and its legend row.
     """
     m = embedding.coordinates.shape[0]
     if m < 1:
@@ -88,9 +89,12 @@ def emit_scatter_svg(embedding: Embedding2D, title: str,
         raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
     categories = embedding.categories or (None,) * m
     colors: dict[str, str] = {}
+    star = target_index is not None
     for i, category in enumerate(categories):
-        if i != target_index and category is not None:
+        if i != target_index and category is not None and not (star and category == "target"):
             colors.setdefault(category, PALETTE[len(colors) % len(PALETTE)])
+    if star:
+        colors["target"] = TARGET_COLOR
     to_pixel = _viewport_transform(embedding.coordinates)
 
     parts = [
@@ -118,12 +122,9 @@ def emit_scatter_svg(embedding: Embedding2D, title: str,
                      f'font-family="sans-serif" font-size="11">'
                      f'{_escape(embedding.row_labels[i])}</text>')
 
-    legend_entries = list(colors.items())
-    if target_index is not None:
-        legend_entries.append(("target", TARGET_COLOR))
     legend_x = _WIDTH_PX - _MARGIN_PX - 130
     legend_y = _MARGIN_PX + 10
-    for row, (name, color) in enumerate(legend_entries):
+    for row, (name, color) in enumerate(colors.items()):
         y = legend_y + 18 * row
         parts.append(f'<rect class="legend-swatch" x="{legend_x}" y="{y}" '
                      f'width="12" height="12" fill="{color}"/>')

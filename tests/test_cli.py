@@ -214,10 +214,11 @@ def test_embed_colors_follow_first_appearance_after_the_target(tmp_path):
                  "--plot", str(tmp_path / "p.svg")])
     assert code == EXIT_OK
     svg = (tmp_path / "p.svg").read_text()
+    # u3's category is "target" too: it takes the star's gold and shares its legend row
     assert re.findall(r'<circle class="point" [^>]* fill="(#\w+)"/>', svg) == \
-        ["#1f77b4", "#999999", "#ff7f0e", "#1f77b4", "#2ca02c"]
+        ["#1f77b4", "#999999", "#ffd700", "#1f77b4", "#ff7f0e"]
     assert re.findall(r'fill="(#\w+)"/>\n<text class="legend" [^>]*>([^<]*)</text>', svg) == \
-        [("#1f77b4", "dogs"), ("#ff7f0e", "target"), ("#2ca02c", "cars"), ("#ffd700", "target")]
+        [("#1f77b4", "dogs"), ("#ff7f0e", "cars"), ("#ffd700", "target")]
 
 
 def test_embed_two_profiles(tmp_path):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import gc
 import json
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -329,13 +332,18 @@ def test_twenty_six_profiles_target_last(tmp_path):
 
 
 def test_round_trip_preserves_profile(tmp_path):
+    no_basename = [image_post(["dough"], [0.44]), image_post(["crust"], [0.3])]
+    no_basename[0]["urls"] = [""]
+    no_basename[1]["urls"] = ["https://host.example/p/"]
     write_profile_file(tmp_path, "u", [
         image_post(["pizza, pizza pie", "plate"], [0.91, 0.05], caption="yum",
                    tags=["#pizza"]),
         video_post(likes=3),
         image_post(["dough"], [0.44]),
+        *no_basename,
     ])
     original = load_profile(tmp_path / "u.json", "u")
+    assert [post.id for post in original.posts[3:]] == ["", ""]
     (tmp_path / "copy.json").write_text(json.dumps(serialize_profile(original)),
                                         encoding="utf-8")
     assert load_profile(tmp_path / "copy.json", "u") == original
@@ -378,3 +386,40 @@ def test_tag_prediction_validation():
         TagPrediction(label="  ", confidence=0.5)
     with pytest.raises(ValueError):
         TagPrediction(label="dog", confidence=1.5)
+
+
+def test_records_are_slotted_and_frozen(tmp_path):
+    write_profile_file(tmp_path, "u", [image_post(["dog", "cat"], [0.7, 0.2], caption="hi",
+                                                  tags=["#dog"])])
+    profile = load_profile(tmp_path / "u.json", "u")
+    post = profile.posts[0]
+    tag = post.tag_predictions[0]
+    for record, field, value in ((tag, "label", "cat"), (post, "like_count", 1),
+                                 (profile, "category", "pets")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, value)
+        changed = replace(record, **{field: value})
+        assert getattr(changed, field) == value and changed != record
+        assert replace(record) == record and hash(replace(record)) == hash(record)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+    assert replace(tag, confidence=0.7) == TagPrediction("dog", 0.7)
+    with pytest.raises(ValueError):
+        replace(tag, confidence=1.5)
+
+
+def test_equal_strings_of_a_load_are_one_object(tmp_path):
+    posts = [image_post(["dog", "cat"], [0.7, 0.2], tags=["#pet", "#dog"]),
+             image_post(["cat", "dog"], [0.6, 0.1], tags=["#dog", "#pet"])]
+    write_profile_file(tmp_path, "u", posts)
+    write_profile_file(tmp_path, "v", posts)
+    first, second = (load_profile(tmp_path / f"{name}.json", name) for name in "uv")
+    for profile in (first, second):
+        a, b = profile.posts
+        assert a.tag_predictions[0].label is b.tag_predictions[1].label
+        assert a.tag_predictions[1].label is b.tag_predictions[0].label
+        assert a.hashtags[0] is b.hashtags[1] and a.hashtags[1] is b.hashtags[0]
+    # each call shares strings within its own result only: nothing outlives the load
+    assert first.posts == second.posts
+    assert first.posts[0].tag_predictions[0].label is not second.posts[0].tag_predictions[0].label

@@ -8,12 +8,17 @@ the user list. These tests run every loader both ways: forced through the fork
 from __future__ import annotations
 
 import os
+import pickle
 import struct
+import subprocess
+import sys
 import threading
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 
+import brandmatch
 from brandmatch import BrandMatchError, load_profile_set
 from brandmatch import profile_store
 from brandmatch.cli import main
@@ -49,6 +54,15 @@ def _cases():
                 yield m, defect, position
 
 
+def _ignore_running_threads(monkeypatch):
+    """Have the thread probe see only threads started from now on.
+
+    numpy, imported by other test modules, may already run native threads here."""
+    real_count = profile_store._thread_count
+    running = real_count() - 1
+    monkeypatch.setattr(profile_store, "_thread_count", lambda: real_count() - running)
+
+
 @pytest.fixture
 def forced(monkeypatch):
     """Switch between the fork path ("fork") and the plain loop ("plain"); count forks."""
@@ -64,6 +78,7 @@ def forced(monkeypatch):
         if path == "fork":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             monkeypatch.setattr(os, "fork", counting_fork)
+            _ignore_running_threads(monkeypatch)
         else:
             monkeypatch.delattr(os, "fork")
         forks.clear()
@@ -193,6 +208,78 @@ def test_no_fork_while_another_thread_runs(forced):
     assert forks == []
 
 
+def test_thread_probe_falls_back_to_python_threads_without_proc(monkeypatch):
+    def no_proc(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "listdir", no_proc)
+    assert profile_store._thread_count() == threading.active_count()
+
+
+# A ``_thread`` thread is invisible to ``threading.active_count()``, as are the native
+# threads a C library starts. Python 3.12+ warns about a fork beside one; it clears
+# the exception ``-W error`` would make of that warning, so the test reads stderr.
+_FORK_BESIDE_A_NATIVE_THREAD = """
+import _thread, os, pickle, sys, threading
+from brandmatch import load_profile_set
+users, directory = sys.argv[1:]
+os.sched_getaffinity = lambda pid: {0, 1}
+real_fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or real_fork()
+alone = load_profile_set(users, directory, target_username="user0", image_cap=2)
+forked = len(forks)
+lock = _thread.allocate_lock()
+lock.acquire()
+_thread.start_new_thread(lock.acquire, ())
+assert threading.active_count() == 1
+beside = load_profile_set(users, directory, target_username="user0", image_cap=2)
+sys.stdout.buffer.write(pickle.dumps((forked, len(forks) - forked, alone, beside)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"),
+                    reason="native threads are counted only where /proc/self/task lists them")
+def test_no_fork_beside_a_native_thread(tmp_path, forced):
+    users = _write_case(tmp_path, 4)
+    forced("plain")
+    expected = _load(users, tmp_path)
+    source = str(Path(brandmatch.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-W", "always::DeprecationWarning", "-c",
+                             _FORK_BESIDE_A_NATIVE_THREAD, str(users), str(tmp_path)],
+                            capture_output=True, env={**os.environ, "PYTHONPATH": source},
+                            timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    forks_alone, forks_beside, alone, beside = pickle.loads(result.stdout)
+    assert (forks_alone, forks_beside) == (1, 0)
+    assert alone == beside == expected
+
+
+def _objects_per_string(profiles):
+    """For each distinct tag label and hashtag, how many string objects hold it."""
+    objects: dict[str, set] = {}
+    for profile in profiles:
+        for post in profile.posts:
+            for text in (*(tag.label for tag in post.tag_predictions), *post.hashtags):
+                objects.setdefault(text, set()).add(id(text))
+    return {text: len(ids) for text, ids in objects.items()}
+
+
+@pytest.mark.parametrize("path", ["fork", "plain"])
+def test_equal_strings_within_a_loaded_half_are_one_object(path, tmp_path, forced):
+    names = [f"user{i}" for i in range(5)]
+    for name in names:
+        write_profile_file(tmp_path, name, [
+            image_post(["dog", "cat"], [0.7, 0.2], tags=["#pet", "#dog"]),
+            image_post(["cat"], [0.6], tags=["#pet"])])
+    users = write_user_list(tmp_path, names)
+    forks = forced(path)
+    profiles = load_profile_set(users, tmp_path).profiles
+    assert len(forks) == (path == "fork")
+    # the forked child reads user3 and user4 with its own copy of the strings
+    for half in ((profiles[:3], profiles[3:]) if path == "fork" else (profiles,)):
+        assert _objects_per_string(half) == {"dog": 1, "cat": 1, "#pet": 1, "#dog": 1}
+
+
 def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -207,5 +294,6 @@ def test_one_fork_per_load_with_two_cpus(m, tmp_path, monkeypatch):
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    _ignore_running_threads(monkeypatch)
     assert len(load_profile_set(users, tmp_path, image_cap=2).profiles) == m
     assert len(forks) == (m >= 2)

@@ -100,6 +100,20 @@ def test_colors_follow_category_order():
         ["#1f77b4", "#ff7f0e", "#2ca02c", "#ffd700"]
 
 
+def test_target_category_rows_share_the_star_only_when_it_is_drawn():
+    categories = ("target", "aa", "bb", "target")
+    coordinates = [[0, 0], [1, 2], [2, 1], [3, 3]]
+    starred = emit_scatter_svg(_embedding(coordinates, categories=categories), "t",
+                               target_index=1)
+    assert [c.get("fill") for c in _elements(starred, "circle")] == \
+        ["#ffd700", "#1f77b4", "#ffd700"]
+    assert [e.text for e in _elements(starred, "text", "legend")] == ["bb", "target"]
+    plain = emit_scatter_svg(_embedding(coordinates, categories=categories), "t")
+    assert [c.get("fill") for c in _elements(plain, "circle")] == \
+        ["#1f77b4", "#ff7f0e", "#2ca02c", "#1f77b4"]
+    assert [e.text for e in _elements(plain, "text", "legend")] == ["target", "aa", "bb"]
+
+
 def test_palette_wraps_after_ten_categories():
     categories = [f"c{i:02d}" for i in range(12)]
     svg = emit_scatter_svg(_embedding([[i, i * i] for i in range(12)],

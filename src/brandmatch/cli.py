@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .content_synthesis import DEFAULT_TOP_K, synthesize_document
+from .content_synthesis import DEFAULT_TOP_K, ContentDocument, synthesize_document
 from .embedding import classical_mds, smacof_refine
 from .errors import (
     EXIT_FAILURE,
@@ -35,7 +35,6 @@ from .fixtures import (
 from .matcher import DEFAULT_K, knn_match, pairwise_distances
 from .profile_store import (
     DEFAULT_IMAGE_CAP,
-    ProfileSet,
     _map_in_two_processes,
     apply_image_cap,
     check_username,
@@ -58,14 +57,19 @@ from .visualization import emit_scatter_svg
 _Outputs = list[tuple[Path, str]]
 
 
-def _build_matrix(args: argparse.Namespace) -> tuple[ProfileSet, DocTermMatrix, _Outputs]:
-    """The profiles and their matrix, plus the rendered ``--export-matrix`` output if asked."""
+def _load_documents(args: argparse.Namespace) -> tuple[list[ContentDocument], int, tuple]:
+    """Each profile's document, the target's row and each row's category; the profiles die here."""
     profile_set = load_profile_set(args.users, args.metadata, target_username=args.target,
                                    image_cap=args.image_cap)
-    documents = [synthesize_document(p, top_k=args.top_k_tags)
-                 for p in profile_set.profiles]
+    return ([synthesize_document(p, top_k=args.top_k_tags) for p in profile_set.profiles],
+            profile_set.target_index, tuple(p.category for p in profile_set.profiles))
+
+
+def _build_matrix(args: argparse.Namespace) -> tuple[DocTermMatrix, int, tuple, _Outputs]:
+    """The matrix, the target's row, every row's category and the rendered ``--export-matrix``."""
+    documents, target_index, categories = _load_documents(args)
     vocabulary = build_vocabulary(documents)
-    if not documents[profile_set.target_index].tokens:
+    if not documents[target_index].tokens:
         raise UnknownTargetError(f"target {args.target!r} has no classifiable media")
     matrix = count_vectorize(documents, vocabulary)
     if Weighting(args.weighting) is Weighting.TFIDF:
@@ -73,7 +77,7 @@ def _build_matrix(args: argparse.Namespace) -> tuple[ProfileSet, DocTermMatrix, 
     outputs: _Outputs = []
     if args.export_matrix is not None:
         outputs.append((args.export_matrix, export_matrix_tsv(matrix)))
-    return profile_set, matrix, outputs
+    return matrix, target_index, categories, outputs
 
 
 def _check_flag_values(args: argparse.Namespace) -> None:
@@ -141,9 +145,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     """Load, synthesize, vectorize, and rank the k nearest influencers to the target."""
-    profile_set, matrix, outputs = _build_matrix(args)
-    result = knn_match(matrix, profile_set.target_index, k=args.k)
-    m = len(profile_set.profiles)
+    matrix, target_index, _, outputs = _build_matrix(args)
+    result = knn_match(matrix, target_index, k=args.k)
+    m = len(matrix.row_labels)
     if args.k > m - 1:
         print(f"warning: k={args.k} truncated to {m - 1} (only {m} profiles)",
               file=sys.stderr)
@@ -162,9 +166,8 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_embed_and_plot(args: argparse.Namespace) -> int:
     """Embed all profiles to 2-D (classical MDS + SMACOF) and write TSV + SVG."""
-    profile_set, matrix, outputs = _build_matrix(args)
+    matrix, target_index, categories, outputs = _build_matrix(args)
     distances = pairwise_distances(matrix)
-    categories = tuple(p.category for p in profile_set.profiles)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         initial = classical_mds(distances, row_labels=matrix.row_labels,
@@ -178,7 +181,7 @@ def cmd_embed_and_plot(args: argparse.Namespace) -> int:
                                        refined.coordinates):
         lines.append(f"{label}\t{category or ''}\t{float(x)!r}\t{float(y)!r}")
     svg = emit_scatter_svg(refined, f"Target brand profile: {args.target}",
-                           target_index=profile_set.target_index)
+                           target_index=target_index)
 
     outputs += [(args.embedding, "\n".join(lines) + "\n"), (args.plot, svg)]
     _write_outputs(outputs)

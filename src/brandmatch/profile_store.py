@@ -23,6 +23,8 @@ from .errors import MalformedFileError, MissingProfileFileError, UnknownTargetEr
 
 MAX_TAGS_PER_POST = 5
 DEFAULT_IMAGE_CAP = 50
+# characters XML 1.0 forbids (NUL too); usernames and categories label the SVG plot
+_NOT_IN_XML = frozenset(map(chr, (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,8 +160,10 @@ def _collector_paused() -> Iterator[None]:
 
 
 def _build_profile(username: str, rows: list, category: Optional[str] = None) -> Profile:
-    return Profile(username, tuple(Post(post_id, tuple(TagPrediction(*tag) for tag in tags), *fields)
-                                   for post_id, tags, *fields in rows), category)
+    posts = [Post(post_id, tuple([TagPrediction(label, score) for label, score in tags]),
+                  likes, comments, caption, hashtags, is_video)
+             for post_id, tags, likes, comments, caption, hashtags, is_video in rows]
+    return Profile(username, tuple(posts), category)
 
 
 def _read_posts(path: Path, username: str, image_cap: Optional[int],
@@ -258,10 +262,14 @@ def check_username(username: str) -> None:
 
     It names ``<metadata>/<username>.json`` and one field of a TSV line, so it
     must not be empty, ``.`` or ``..``, nor contain ``/``, ``\\``, NUL, tab, CR or LF.
+    It labels a point of the SVG plot, so it must not hold a character XML 1.0 forbids.
     """
     if username in ("", ".", "..") or any(c in username for c in "/\\\0\t\r\n"):
         raise ValueError(f"invalid username {username!r}: it must not be empty, '.' or '..', "
                          "nor contain '/', '\\', NUL, tab, CR or LF")
+    if not _NOT_IN_XML.isdisjoint(username):
+        raise ValueError(f"invalid username {username!r}: "
+                         "it must not contain a character XML 1.0 forbids")
 
 
 def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
@@ -269,7 +277,7 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
 
     Raises MissingProfileFileError when the file is absent or is a directory,
     and MalformedFileError when it is not UTF-8, a username breaks the
-    ``check_username`` rule or is repeated, or a category holds a tab or NUL.
+    ``check_username`` rule or is repeated, or a category holds a tab or XML-forbidden character.
     """
     entries: list[tuple[str, Optional[str]]] = []
     seen: set[str] = set()
@@ -295,6 +303,10 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
         if category and ("\t" in category or "\0" in category):
             raise MalformedFileError(f"user list {path} line {number}: invalid category "
                                      f"{category!r}: it must not contain tab or NUL")
+        if category and not _NOT_IN_XML.isdisjoint(category):
+            raise MalformedFileError(f"user list {path} line {number}: invalid category "
+                                     f"{category!r}: it must not contain a character "
+                                     "XML 1.0 forbids")
         if username in seen:
             raise MalformedFileError(f"duplicate username in user list: {username}")
         seen.add(username)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import functools
+import gc
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 import brandmatch
 from brandmatch import cli, embedding
 from brandmatch.cli import main
+from brandmatch.content_synthesis import ContentDocument
 from brandmatch.errors import (
     EXIT_BAD_TARGET,
     EXIT_EMPTY_CORPUS,
@@ -23,7 +25,12 @@ from brandmatch.errors import (
     EXIT_OK,
     EXIT_USAGE,
 )
+from brandmatch.profile_store import Post, parse_user_list
 from helpers import image_post, video_post, write_profile_file, write_user_list
+
+# what XML 1.0 forbids besides NUL; str.splitlines ends a user-list line at five of them
+XML_FORBIDDEN = [chr(c) for c in (*range(1, 9), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)]
+WITHIN_A_LINE = [c for c in XML_FORBIDDEN if len(f"a{c}b".splitlines()) == 1]
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +348,48 @@ def test_only_commands_that_build_a_matrix_load_numpy(fixture_dir, tmp_path):
     assert _fresh_interpreter(_RUN_MAIN, "match", *pipeline) == "0 True"
 
 
+@pytest.mark.parametrize("command", ["match", "embed"])
+def test_records_are_freed_before_the_matrix_stage(command, fixture_dir, tmp_path, monkeypatch):
+    # no Post may live into numpy's import, and no document into the m x m stage;
+    # matched by id, so records that other tests keep alive do not count
+    load, synthesize = cli.load_profile_set, cli.synthesize_document
+    vectorize, distances = cli.count_vectorize, cli.pairwise_distances
+    post_ids: set[int] = set()
+    document_ids: set[int] = set()
+    alive: dict[str, int] = {}
+
+    def live(kind, ids):
+        return sum(1 for o in gc.get_objects() if isinstance(o, kind) and id(o) in ids)
+
+    def recording_load(*args, **kwargs):
+        profile_set = load(*args, **kwargs)
+        post_ids.update(id(post) for profile in profile_set.profiles for post in profile.posts)
+        return profile_set
+
+    def recording_synthesize(*args, **kwargs):
+        document = synthesize(*args, **kwargs)
+        document_ids.add(id(document))
+        return document
+
+    def checked_vectorize(*args, **kwargs):
+        alive["posts"] = live(Post, post_ids)
+        return vectorize(*args, **kwargs)
+
+    def checked_distances(*args, **kwargs):
+        alive["documents"] = live(ContentDocument, document_ids)
+        return distances(*args, **kwargs)
+
+    for name, spy in (("load_profile_set", recording_load),
+                      ("synthesize_document", recording_synthesize),
+                      ("count_vectorize", checked_vectorize),
+                      ("pairwise_distances", checked_distances)):
+        monkeypatch.setattr(cli, name, spy)
+    assert main([command, *_pipeline_args(fixture_dir, "--target", "dogs_brand"),
+                 *_output_args(command, tmp_path)]) == EXIT_OK
+    assert len(post_ids) == 26 * 20 and len(document_ids) == 26
+    assert alive == ({"posts": 0} if command == "match" else {"posts": 0, "documents": 0})
+
+
 def test_embed_deterministic(fixture_dir, tmp_path):
     outputs = []
     for i in (1, 2):
@@ -514,7 +563,8 @@ def test_file_given_as_metadata_directory_exits_missing_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("username", ["../outside/evil", "sub/evil", "back\\slash", ".", "..",
-                                      "", "tab\there", "nul\0here"])
+                                      "", "tab\there", "nul\0here",
+                                      *(f"bad{c}name" for c in WITHIN_A_LINE)])
 def test_user_list_rejects_names_outside_the_metadata_directory(username, tmp_path, capsys):
     metadata = tmp_path / "metadata"
     for directory in (metadata / "sub", tmp_path / "outside"):
@@ -533,7 +583,8 @@ def test_user_list_rejects_names_outside_the_metadata_directory(username, tmp_pa
             f"error: user list {users} line 3: invalid username {username!r}")
 
 
-@pytest.mark.parametrize("brand_name", ["../escaped", "a/b", "..", "tab\there"])
+@pytest.mark.parametrize("brand_name", ["../escaped", "a/b", "..", "tab\there",
+                                        *(f"bad{c}name" for c in XML_FORBIDDEN)])
 def test_synth_brand_name_must_be_a_username(brand_name, tmp_path, capsys):
     out = tmp_path / "fixture"
     code = main(["synth", "--out", str(out), "--brand", "dogs", "--brand-name", brand_name])
@@ -578,7 +629,7 @@ def test_validate_target_without_tokens_agrees_with_match(tmp_path, capsys):
                         "validated 2 profiles: 2 ok, 0 warnings, 1 errors"]
 
 
-@pytest.mark.parametrize("character", ["\t", "\0"])
+@pytest.mark.parametrize("character", ["\t", "\0", *WITHIN_A_LINE])
 def test_user_list_rejects_tab_or_nul_in_category(character, tmp_path, capsys):
     write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
     write_profile_file(tmp_path, "bob", [image_post(["cat"], [0.9])])
@@ -590,8 +641,16 @@ def test_user_list_rejects_tab_or_nul_in_category(character, tmp_path, capsys):
     assert captured.out == ""
     assert (_single_error_line(captured.err)
             == f"error: user list {users} line 2: invalid category {f'ca{character}ts'!r}: "
-               "it must not contain tab or NUL")
+               + ("it must not contain tab or NUL" if character in "\t\0"
+                  else "it must not contain a character XML 1.0 forbids"))
     assert not (tmp_path / "e.tsv").exists()
+
+
+@pytest.mark.parametrize("character", [c for c in XML_FORBIDDEN if c not in WITHIN_A_LINE])
+def test_xml_forbidden_line_breaks_end_a_user_list_line(character, tmp_path):
+    users = tmp_path / "users.txt"
+    users.write_text(f"bad{character}name,ca{character}ts\n", encoding="utf-8")
+    assert parse_user_list(users) == [("bad", None), ("name", "ca"), ("ts", None)]
 
 
 def _formats_exit_codes() -> dict[str, list[int]]:

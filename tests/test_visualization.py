@@ -4,12 +4,16 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brandmatch import (
     PALETTE,
     Embedding2D,
+    MalformedFileError,
     UnknownTargetError,
     emit_scatter_svg,
+    parse_user_list,
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -84,6 +88,32 @@ def test_output_is_well_formed_xml():
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.get("version") == "1.1"
+
+
+# control characters and U+FFFE/U+FFFF often, so the XML 1.0 rule is exercised
+_user_list_text = st.text(st.characters(blacklist_categories=("Cs",))
+                          | st.sampled_from([chr(c) for c in range(32)] + ["\ufffe", "\uffff"]),
+                          max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.tuples(_user_list_text, _user_list_text), min_size=1, max_size=4))
+def test_every_accepted_user_list_plots_as_well_formed_xml(lines, tmp_path_factory):
+    users = tmp_path_factory.mktemp("list") / "users.txt"
+    users.write_text("".join(f"{name},{category}\n" for name, category in lines),
+                     encoding="utf-8")
+    try:
+        entries = parse_user_list(users)
+    except MalformedFileError:
+        return
+    if not entries:
+        return
+    names = [name for name, _ in entries]
+    svg = emit_scatter_svg(_embedding([[i, i % 3] for i in range(len(entries))], names,
+                                      [category for _, category in entries]),
+                           f"Target brand profile: {names[0]}", target_index=0)
+    root = ET.fromstring(svg.encode("utf-8"))
+    assert [e.text for e in root.iter(f"{SVG_NS}text") if e.get("class") == "label"] == names
 
 
 def test_colors_follow_category_order():

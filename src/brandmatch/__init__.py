@@ -12,13 +12,9 @@ from .content_synthesis import ContentDocument, synthesize_document, tokenize
 from .embedding import Embedding2D, classical_mds, jacobi_eigh, smacof_refine, stress
 from .errors import (
     BrandMatchError,
-    DegenerateEmbeddingWarning,
-    DimensionMismatchError,
     EmptyCorpusError,
-    InvalidDistanceMatrixError,
     MalformedFileError,
     MissingProfileFileError,
-    UnknownCategoryError,
     UnknownTargetError,
 )
 from .fixtures import (
@@ -28,7 +24,7 @@ from .fixtures import (
     generate_brand_profile,
     generate_profile_set,
 )
-from .matcher import MatchResult, euclidean_distance, knn_match, pairwise_distances
+from .matcher import MatchResult, knn_match, pairwise_distances
 from .profile_store import (
     Post,
     Profile,
@@ -39,12 +35,9 @@ from .profile_store import (
     load_profile_set,
     parse_user_list,
     save_profile,
-    serialize_profile,
 )
 from .vectorizer import (
     DocTermMatrix,
-    Vocabulary,
-    Weighting,
     build_vocabulary,
     count_vectorize,
     export_matrix_tsv,
@@ -56,13 +49,10 @@ __all__ = [
     "BrandMatchError",
     "ContentDocument",
     "DEFAULT_CATEGORIES",
-    "DegenerateEmbeddingWarning",
-    "DimensionMismatchError",
     "DocTermMatrix",
     "Embedding2D",
     "EmptyCorpusError",
     "FixtureSpec",
-    "InvalidDistanceMatrixError",
     "MalformedFileError",
     "MatchResult",
     "MissingProfileFileError",
@@ -71,17 +61,13 @@ __all__ = [
     "Profile",
     "ProfileSet",
     "TagPrediction",
-    "UnknownCategoryError",
     "UnknownTargetError",
-    "Vocabulary",
-    "Weighting",
     "Xorshift64Star",
     "apply_image_cap",
     "build_vocabulary",
     "classical_mds",
     "count_vectorize",
     "emit_scatter_svg",
-    "euclidean_distance",
     "export_matrix_tsv",
     "generate_brand_profile",
     "generate_profile_set",
@@ -92,7 +78,6 @@ __all__ = [
     "pairwise_distances",
     "parse_user_list",
     "save_profile",
-    "serialize_profile",
     "smacof_refine",
     "stress",
     "synthesize_document",

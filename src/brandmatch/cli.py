@@ -45,7 +45,6 @@ from .profile_store import (
 )
 from .vectorizer import (
     DocTermMatrix,
-    Weighting,
     build_vocabulary,
     count_vectorize,
     export_matrix_tsv,
@@ -72,7 +71,7 @@ def _build_matrix(args: argparse.Namespace) -> tuple[DocTermMatrix, int, tuple, 
     if not documents[target_index].tokens:
         raise UnknownTargetError(f"target {args.target!r} has no classifiable media")
     matrix = count_vectorize(documents, vocabulary)
-    if Weighting(args.weighting) is Weighting.TFIDF:
+    if args.weighting == "tfidf":
         matrix = tfidf_transform(matrix)
     outputs: _Outputs = []
     if args.export_matrix is not None:
@@ -223,8 +222,7 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser, *, with_target: boo
                         help="tags taken per image (default %(default)s)")
     parser.add_argument("--image-cap", type=int, default=DEFAULT_IMAGE_CAP,
                         help="images analyzed per profile (default %(default)s)")
-    parser.add_argument("--weighting", choices=[w.value for w in Weighting],
-                        default=Weighting.COUNTS.value,
+    parser.add_argument("--weighting", choices=["counts", "tfidf"], default="counts",
                         help="matrix weighting (default %(default)s)")
     parser.add_argument("--export-matrix", type=Path, default=None,
                         help="write the document-term matrix as TSV")

@@ -32,12 +32,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import (
-    DegenerateEmbeddingWarning,
-    DimensionMismatchError,
-    EmptyCorpusError,
-    InvalidDistanceMatrixError,
-)
+from .errors import BrandMatchError, EmptyCorpusError
 
 # numpy is imported inside the functions that compute, so validate and synth never load it
 if TYPE_CHECKING:
@@ -61,15 +56,15 @@ def _check_distance_matrix(distances: np.ndarray) -> np.ndarray:
     import numpy as np
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DimensionMismatchError(f"distance matrix must be square, got {d.shape}")
+        raise BrandMatchError(f"distance matrix must be square, got {d.shape}")
     if not np.isfinite(d).all():
-        raise InvalidDistanceMatrixError("distance matrix has a NaN or infinite entry")
+        raise BrandMatchError("distance matrix has a NaN or infinite entry")
     if (d < 0.0).any():
-        raise InvalidDistanceMatrixError("distance matrix has a negative entry")
+        raise BrandMatchError("distance matrix has a negative entry")
     if not np.array_equal(d, d.T):
-        raise InvalidDistanceMatrixError("distance matrix is not symmetric")
+        raise BrandMatchError("distance matrix is not symmetric")
     if np.any(np.diag(d) != 0.0):
-        raise InvalidDistanceMatrixError("distance matrix has a nonzero diagonal")
+        raise BrandMatchError("distance matrix has a nonzero diagonal")
     return d
 
 
@@ -94,10 +89,9 @@ def stress(distances: np.ndarray, coordinates: np.ndarray) -> float:
     d = np.asarray(distances, dtype=np.float64)
     x = np.asarray(coordinates, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DimensionMismatchError(f"distance matrix must be square, got {d.shape}")
+        raise BrandMatchError(f"distance matrix must be square, got {d.shape}")
     if x.ndim != 2 or x.shape[0] != d.shape[0]:
-        raise DimensionMismatchError(
-            f"coordinates {x.shape} inconsistent with distances {d.shape}")
+        raise BrandMatchError(f"coordinates {x.shape} inconsistent with distances {d.shape}")
     return _raw_stress(d, _embedded_distances(x))
 
 
@@ -156,7 +150,7 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.array(matrix, dtype=np.float64, copy=True)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
-        raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
+        raise BrandMatchError(f"matrix must be square, got {a.shape}")
     # A on top of V: both take the same column rotation, so one gather,
     # rotate and scatter per round serves both; the row rotation is A's alone
     stacked = np.concatenate([a, np.eye(n)])
@@ -224,7 +218,7 @@ def classical_mds(distances: np.ndarray,
 
     Negative leading eigenvalues (non-Euclidean input) clamp to zero and yield
     a zero coordinate column; if both leading eigenvalues are non-positive the
-    embedding is all-zero and a DegenerateEmbeddingWarning is issued.
+    embedding is all-zero and a RuntimeWarning is issued.
     """
     import numpy as np
     d = _check_distance_matrix(distances)
@@ -233,7 +227,7 @@ def classical_mds(distances: np.ndarray,
         raise EmptyCorpusError("need at least two points to embed")
     x = None if points is None else np.asarray(points, dtype=np.float64)
     if x is not None and (x.ndim != 2 or x.shape[0] != m):
-        raise DimensionMismatchError(f"points {x.shape} inconsistent with {m} x {m} distances")
+        raise BrandMatchError(f"points {x.shape} inconsistent with {m} x {m} distances")
     merged = None
     if x is not None:
         # merged after centring: the mean of a pre-scaled column rounds
@@ -258,7 +252,7 @@ def classical_mds(distances: np.ndarray,
         coordinates = eigenvectors[:, :2] * np.sqrt(np.clip(top_values, 0.0, None))
     if np.all(top_values <= 0.0):
         warnings.warn("both leading eigenvalues non-positive; embedding collapsed to zero",
-                      DegenerateEmbeddingWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=2)
     coordinates = _fix_column_signs(coordinates)
     labels = tuple(row_labels) if row_labels is not None else tuple(str(i) for i in range(m))
     cats = tuple(categories) if categories is not None else None
@@ -288,7 +282,7 @@ def smacof_refine(distances: np.ndarray, initial: Embedding2D,
     m = d.shape[0]
     x = np.array(initial.coordinates, dtype=np.float64, copy=True)
     if x.ndim != 2 or x.shape[0] != m or x.shape[1] != 2:
-        raise DimensionMismatchError(
+        raise BrandMatchError(
             f"initial configuration {x.shape} inconsistent with {m} x {m} distances")
 
     # the embedded distances of each configuration serve both its stress and

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the pipeline, and the CLI exit codes.
+"""Exception types shared across the pipeline, and the CLI exit codes.
 
 Each error type carries the exit code the CLI returns for it (FORMATS.md lists
 them), so the code is decided where the error is defined.
@@ -14,7 +14,11 @@ EXIT_EMPTY_CORPUS = 6
 
 
 class BrandMatchError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Raised itself for an error no input file explains, such as a matrix of the
+    wrong shape, an invalid distance matrix or an unknown fixture category.
+    """
     exit_code = EXIT_FAILURE
 
 
@@ -41,18 +45,3 @@ class EmptyCorpusError(BrandMatchError):
     """Nothing to match on or embed: no tokens, or fewer than two profiles."""
     exit_code = EXIT_EMPTY_CORPUS
 
-
-class DimensionMismatchError(BrandMatchError):
-    """Operands have incompatible shapes."""
-
-
-class InvalidDistanceMatrixError(BrandMatchError):
-    """A distance matrix is asymmetric, has a nonzero diagonal, or a non-finite or negative entry."""
-
-
-class UnknownCategoryError(BrandMatchError):
-    """A category name is not in the fixture spec's categories."""
-
-
-class DegenerateEmbeddingWarning(UserWarning):
-    """Both leading eigenvalues were non-positive; the 2-D embedding collapsed to zero."""

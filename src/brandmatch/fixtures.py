@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .content_synthesis import tokenize
-from .errors import UnknownCategoryError
+from .errors import BrandMatchError
 from .profile_store import Post, Profile, ProfileSet, TagPrediction
 
 _MASK64 = (1 << 64) - 1
@@ -153,7 +153,7 @@ def generate_brand_profile(spec: FixtureSpec, category_name: str, username: str)
     """
     _validate_spec(spec)
     if category_name not in dict(spec.categories):
-        raise UnknownCategoryError(f"no category {category_name!r} in fixture spec")
+        raise BrandMatchError(f"no category {category_name!r} in fixture spec")
     rng = Xorshift64Star(spec.seed ^ fnv1a64(username))
     posts = _generate_posts(spec, category_name, rng)
     return Profile(username=username, posts=posts, category="target")

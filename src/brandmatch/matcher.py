@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatchError, EmptyCorpusError, UnknownTargetError
+from .errors import BrandMatchError, EmptyCorpusError, UnknownTargetError
 from .vectorizer import DocTermMatrix
 
 # numpy is imported inside the functions that compute, so validate and synth never load it
@@ -22,7 +22,6 @@ DEFAULT_K = 5
 class MatchResult:
     target_username: str
     neighbors: tuple[tuple[str, float], ...]
-    k: int
 
     def report(self) -> str:
         """Neighbor report: ``# target`` header, then rank<TAB>username<TAB>distance lines."""
@@ -32,27 +31,29 @@ class MatchResult:
         return "\n".join(lines) + "\n"
 
 
-def euclidean_distance(rows: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """Distance from the row ``v`` to ``rows``: a float for one row, an array for a stack."""
+def _float_rows(values: np.ndarray) -> np.ndarray:
     import numpy as np
-    rows = np.asarray(rows, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or rows.shape[-1:] != v.shape:
-        raise DimensionMismatchError(f"vectors of dimension {rows.shape} vs {v.shape}")
+    rows = np.asarray(values, dtype=np.float64)
+    if rows.ndim != 2:
+        raise BrandMatchError(f"expected a 2-D matrix of rows, got shape {rows.shape}")
+    return rows
+
+
+def _distances_to(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean distance from the row ``v`` to each row of ``rows``."""
+    import numpy as np
     diff = rows - v
-    distances = np.sqrt((diff * diff).sum(axis=-1))
-    return float(distances) if rows.ndim == 1 else distances
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def pairwise_distances(matrix: DocTermMatrix | np.ndarray) -> np.ndarray:
     """Symmetric m x m Euclidean distance matrix, each unordered pair computed once."""
     import numpy as np
-    rows = matrix.values if isinstance(matrix, DocTermMatrix) else matrix
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = _float_rows(matrix.values if isinstance(matrix, DocTermMatrix) else matrix)
     m = rows.shape[0]
     out = np.zeros((m, m), dtype=np.float64)
     for i in range(m - 1):
-        out[i, i + 1:] = euclidean_distance(rows[i + 1:], rows[i])
+        out[i, i + 1:] = _distances_to(rows[i + 1:], rows[i])
     return out + out.T
 
 
@@ -65,15 +66,15 @@ def knn_match(matrix: DocTermMatrix, target_index: int, k: int = DEFAULT_K) -> M
     import numpy as np
     if k < 1:
         raise ValueError("k must be a positive integer")
-    rows = matrix.values.astype(np.float64)
+    rows = _float_rows(matrix.values)
     m = rows.shape[0]
     if not 0 <= target_index < m:
         raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
     if m < 2:
         raise EmptyCorpusError("need at least two profiles to rank neighbors")
-    distances = euclidean_distance(rows, rows[target_index])
+    distances = _distances_to(rows, rows[target_index])
     order = [i for i in np.argsort(distances, kind="stable") if i != target_index]
     picked = order[:min(k, m - 1)]
     neighbors = tuple((matrix.row_labels[i], float(distances[i])) for i in picked)
     return MatchResult(target_username=matrix.row_labels[target_index],
-                       neighbors=neighbors, k=k)
+                       neighbors=neighbors)

@@ -25,6 +25,8 @@ MAX_TAGS_PER_POST = 5
 DEFAULT_IMAGE_CAP = 50
 # characters XML 1.0 forbids (NUL too); usernames and categories label the SVG plot
 _NOT_IN_XML = frozenset(map(chr, (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)))
+# line breaks XML allows; a user-list line ends only at LF, CR or CRLF
+_LINE_BREAKS = frozenset("\x85\u2028\u2029")
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,14 +264,22 @@ def check_username(username: str) -> None:
 
     It names ``<metadata>/<username>.json`` and one field of a TSV line, so it
     must not be empty, ``.`` or ``..``, nor contain ``/``, ``\\``, NUL, tab, CR or LF.
-    It labels a point of the SVG plot, so it must not hold a character XML 1.0 forbids.
+    It labels a point of the SVG plot, so it must not hold a character XML 1.0 forbids,
+    nor a line break.
     """
     if username in ("", ".", "..") or any(c in username for c in "/\\\0\t\r\n"):
         raise ValueError(f"invalid username {username!r}: it must not be empty, '.' or '..', "
                          "nor contain '/', '\\', NUL, tab, CR or LF")
-    if not _NOT_IN_XML.isdisjoint(username):
-        raise ValueError(f"invalid username {username!r}: "
+    _check_plot_label("username", username)
+
+
+def _check_plot_label(kind: str, text: str) -> None:
+    """Raise ValueError if ``text`` holds a character XML 1.0 forbids or a line break."""
+    if not _NOT_IN_XML.isdisjoint(text):
+        raise ValueError(f"invalid {kind} {text!r}: "
                          "it must not contain a character XML 1.0 forbids")
+    if not _LINE_BREAKS.isdisjoint(text):
+        raise ValueError(f"invalid {kind} {text!r}: it must not contain a line break")
 
 
 def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
@@ -277,7 +287,8 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
 
     Raises MissingProfileFileError when the file is absent or is a directory,
     and MalformedFileError when it is not UTF-8, a username breaks the
-    ``check_username`` rule or is repeated, or a category holds a tab or XML-forbidden character.
+    ``check_username`` rule or is repeated, or a category holds a tab, a line break or
+    a character XML 1.0 forbids. Lines end only at LF, CR or CRLF.
     """
     entries: list[tuple[str, Optional[str]]] = []
     seen: set[str] = set()
@@ -289,7 +300,9 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
         raise MissingProfileFileError(f"user list {path} is a directory") from None
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"user list {path} is not UTF-8: {exc}") from None
-    for number, line in enumerate(text.splitlines(), start=1):
+    # read_text has turned CR and CRLF into LF; str.splitlines would also split at the
+    # line breaks the name rules reject
+    for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -298,15 +311,13 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
         category = category.strip() or None
         try:
             check_username(username)
+            if category:
+                if "\t" in category or "\0" in category:
+                    raise ValueError(f"invalid category {category!r}: "
+                                     "it must not contain tab or NUL")
+                _check_plot_label("category", category)
         except ValueError as exc:
             raise MalformedFileError(f"user list {path} line {number}: {exc}") from None
-        if category and ("\t" in category or "\0" in category):
-            raise MalformedFileError(f"user list {path} line {number}: invalid category "
-                                     f"{category!r}: it must not contain tab or NUL")
-        if category and not _NOT_IN_XML.isdisjoint(category):
-            raise MalformedFileError(f"user list {path} line {number}: invalid category "
-                                     f"{category!r}: it must not contain a character "
-                                     "XML 1.0 forbids")
         if username in seen:
             raise MalformedFileError(f"duplicate username in user list: {username}")
         seen.add(username)
@@ -321,8 +332,12 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
 
     The optional per-line category annotates each profile for plotting.
     ``image_cap`` defaults to the upstream pipeline's 50-image analysis window.
+    A target missing from the list raises UnknownTargetError before any file is loaded.
     """
     entries = parse_user_list(user_list_path)
+    usernames = [username for username, _ in entries]
+    if target_username is not None and target_username not in usernames:
+        raise UnknownTargetError(f"target {target_username!r} not in user list")
     metadata_dir = Path(metadata_dir)
     strings: dict[str, str] = {}  # a forked child fills its own copy
     with _collector_paused():
@@ -330,9 +345,6 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
             metadata_dir / f"{entry[0]}.json", entry[0], image_cap, strings), entries)
         profiles = tuple(_build_profile(username, posts, category)
                          for posts, (username, category) in zip(rows, entries))
-    usernames = [username for username, _ in entries]
-    if target_username is not None and target_username not in usernames:
-        raise UnknownTargetError(f"target {target_username!r} not in user list")
     return ProfileSet(profiles, None if target_username is None
                       else usernames.index(target_username))
 
@@ -390,8 +402,8 @@ def _map_in_two_processes(function: Callable, items: list) -> Iterator:
     yield from map(function, items[half + len(values):])
 
 
-def serialize_profile(profile: Profile) -> list[dict]:
-    """Render a Profile back to the metadata-file schema (JSON-ready objects)."""
+def save_profile(profile: Profile, path: str | Path) -> None:
+    """Write a profile back to the metadata-file schema with the upstream dump settings."""
     out = []
     for post in profile.posts:
         raw: dict = {
@@ -408,11 +420,5 @@ def serialize_profile(profile: Profile) -> list[dict]:
             raw["image_contents"] = [t.label for t in post.tag_predictions]
             raw["image_scores"] = [t.confidence for t in post.tag_predictions]
         out.append(raw)
-    return out
-
-
-def save_profile(profile: Profile, path: str | Path) -> None:
-    """Write a profile's metadata file with the upstream dump settings."""
-    text = json.dumps(serialize_profile(profile), sort_keys=True, indent=4,
-                      separators=(",", ": "))
+    text = json.dumps(out, sort_keys=True, indent=4, separators=(",", ": "))
     Path(path).write_text(text + "\n", encoding="utf-8")

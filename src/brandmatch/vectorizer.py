@@ -9,9 +9,7 @@ rare-token-only profiles are never zeroed out.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .content_synthesis import ContentDocument
@@ -21,61 +19,37 @@ from .errors import EmptyCorpusError
 if TYPE_CHECKING:
     import numpy as np
 
-class Weighting(enum.Enum):
-    COUNTS = "counts"
-    TFIDF = "tfidf"
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Token <-> column-index bijection, lexicographically ordered for stable matrices."""
-
-    index_to_token: tuple[str, ...]
-
-    @cached_property
-    def token_to_index(self) -> dict[str, int]:
-        return {token: i for i, token in enumerate(self.index_to_token)}
-
-    def __len__(self) -> int:
-        return len(self.index_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
-
 
 @dataclass(frozen=True)
 class DocTermMatrix:
+    """Rows are profiles, columns the vocabulary's tokens; an integer dtype means counts."""
+
     values: np.ndarray
     row_labels: tuple[str, ...]
-    vocabulary: Vocabulary
-    weighting: Weighting
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+    vocabulary: tuple[str, ...]
 
 
-def build_vocabulary(documents: Sequence[ContentDocument]) -> Vocabulary:
-    """Distinct tokens across all documents, indexed in ascending lexicographic order."""
+def build_vocabulary(documents: Sequence[ContentDocument]) -> tuple[str, ...]:
+    """Distinct tokens across all documents, in ascending lexicographic (column) order."""
     tokens = sorted({t for doc in documents for t in doc.tokens})
     if not tokens:
         raise EmptyCorpusError("no tokens in any document; nothing to match on")
-    return Vocabulary(index_to_token=tuple(tokens))
+    return tuple(tokens)
 
 
 def count_vectorize(documents: Sequence[ContentDocument],
-                    vocabulary: Vocabulary) -> DocTermMatrix:
+                    vocabulary: Sequence[str]) -> DocTermMatrix:
     """Entry (i, j) counts occurrences of token j in document i; unknown tokens are ignored."""
     import numpy as np
     if len(vocabulary) == 0:
         raise EmptyCorpusError("vocabulary is empty")
-    index = vocabulary.token_to_index
+    index = {token: j for j, token in enumerate(vocabulary)}
     values = np.zeros((len(documents), len(vocabulary)), dtype=np.int64)
     for i, doc in enumerate(documents):
         columns = [j for j in map(index.get, doc.tokens) if j is not None]
         values[i] = np.bincount(np.array(columns, dtype=np.intp), minlength=len(vocabulary))
     return DocTermMatrix(values=values, row_labels=tuple(d.username for d in documents),
-                         vocabulary=vocabulary, weighting=Weighting.COUNTS)
+                         vocabulary=tuple(vocabulary))
 
 
 def tfidf_transform(matrix: DocTermMatrix) -> DocTermMatrix:
@@ -85,7 +59,7 @@ def tfidf_transform(matrix: DocTermMatrix) -> DocTermMatrix:
     so widely shared tokens are down-weighted.
     """
     import numpy as np
-    if matrix.weighting is not Weighting.COUNTS:
+    if matrix.values.dtype.kind not in "iu":
         raise ValueError("tfidf_transform expects a counts-weighted matrix")
     counts = matrix.values.astype(np.float64)
     m = counts.shape[0]
@@ -96,13 +70,13 @@ def tfidf_transform(matrix: DocTermMatrix) -> DocTermMatrix:
     nonzero = norms > 0
     weighted[nonzero] /= norms[nonzero, np.newaxis]
     return DocTermMatrix(values=weighted, row_labels=matrix.row_labels,
-                         vocabulary=matrix.vocabulary, weighting=Weighting.TFIDF)
+                         vocabulary=matrix.vocabulary)
 
 
 def export_matrix_tsv(matrix: DocTermMatrix) -> str:
     """Debug dump: header row of tokens, one row per profile led by its username."""
-    lines = ["username\t" + "\t".join(matrix.vocabulary.index_to_token)]
-    integral = matrix.weighting is Weighting.COUNTS
+    lines = ["username\t" + "\t".join(matrix.vocabulary)]
+    integral = matrix.values.dtype.kind in "iu"
     for label, row in zip(matrix.row_labels, matrix.values):
         cells = (str(int(v)) if integral else repr(float(v)) for v in row)
         lines.append(label + "\t" + "\t".join(cells))

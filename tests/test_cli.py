@@ -24,13 +24,16 @@ from brandmatch.errors import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_USAGE,
+    MalformedFileError,
 )
 from brandmatch.profile_store import Post, parse_user_list
 from helpers import image_post, video_post, write_profile_file, write_user_list
 
-# what XML 1.0 forbids besides NUL; str.splitlines ends a user-list line at five of them
+# what XML 1.0 forbids besides NUL, and the line breaks XML allows; a user-list line
+# ends only at LF, CR or CRLF, so each stays within its line and is rejected there
 XML_FORBIDDEN = [chr(c) for c in (*range(1, 9), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)]
-WITHIN_A_LINE = [c for c in XML_FORBIDDEN if len(f"a{c}b".splitlines()) == 1]
+LINE_BREAKS = ["\x85", "\u2028", "\u2029"]
+WITHIN_A_LINE = XML_FORBIDDEN + LINE_BREAKS
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +139,17 @@ def test_match_unknown_target(fixture_dir, capsys):
     code = main(["match", *_pipeline_args(fixture_dir, "--target", "nobody")])
     assert code == EXIT_BAD_TARGET
     assert "nobody" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["match", "embed"])
+def test_unknown_target_exits_before_any_metadata_file_is_read(command, tmp_path, capsys):
+    users = write_user_list(tmp_path, ["alice", "bob"])
+    code = main([command, "--users", str(users), "--metadata", str(tmp_path / "absent"),
+                 "--target", "nobody", *_output_args(command, tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_TARGET
+    assert captured.out == ""
+    assert _single_error_line(captured.err) == "error: target 'nobody' not in user list"
 
 
 def test_match_missing_metadata_file(tmp_path, capsys):
@@ -584,7 +598,7 @@ def test_user_list_rejects_names_outside_the_metadata_directory(username, tmp_pa
 
 
 @pytest.mark.parametrize("brand_name", ["../escaped", "a/b", "..", "tab\there",
-                                        *(f"bad{c}name" for c in XML_FORBIDDEN)])
+                                        *(f"bad{c}name" for c in WITHIN_A_LINE)])
 def test_synth_brand_name_must_be_a_username(brand_name, tmp_path, capsys):
     out = tmp_path / "fixture"
     code = main(["synth", "--out", str(out), "--brand", "dogs", "--brand-name", brand_name])
@@ -642,15 +656,39 @@ def test_user_list_rejects_tab_or_nul_in_category(character, tmp_path, capsys):
     assert (_single_error_line(captured.err)
             == f"error: user list {users} line 2: invalid category {f'ca{character}ts'!r}: "
                + ("it must not contain tab or NUL" if character in "\t\0"
+                  else "it must not contain a line break" if character in LINE_BREAKS
                   else "it must not contain a character XML 1.0 forbids"))
     assert not (tmp_path / "e.tsv").exists()
 
 
-@pytest.mark.parametrize("character", [c for c in XML_FORBIDDEN if c not in WITHIN_A_LINE])
+@pytest.mark.parametrize("character", [c for c in XML_FORBIDDEN if len(f"a{c}b".splitlines()) > 1])
 def test_xml_forbidden_line_breaks_end_a_user_list_line(character, tmp_path):
+    # str.splitlines would end the line here and load the profiles "bad" and "name"
     users = tmp_path / "users.txt"
     users.write_text(f"bad{character}name,ca{character}ts\n", encoding="utf-8")
-    assert parse_user_list(users) == [("bad", None), ("name", "ca"), ("ts", None)]
+    with pytest.raises(MalformedFileError, match=(
+            f"^user list {re.escape(str(users))} line 1: invalid username "
+            f"{re.escape(repr(f'bad{character}name'))}: "
+            "it must not contain a character XML 1.0 forbids$")):
+        parse_user_list(users)
+
+
+@pytest.mark.parametrize("character", LINE_BREAKS)
+def test_user_list_lines_end_only_at_lf_cr_or_crlf(character, tmp_path):
+    users = tmp_path / "users.txt"
+    users.write_bytes(f"alice,dogs\rbob\r\ncarol,ca{character}ts\nbad{character}name\n"
+                      .encode("utf-8"))
+    with pytest.raises(MalformedFileError, match=(
+            f"^user list {re.escape(str(users))} line 3: invalid category "
+            f"{re.escape(repr(f'ca{character}ts'))}: it must not contain a line break$")):
+        parse_user_list(users)
+    users.write_bytes(f"alice,dogs\rbob\r\nbad{character}name\n".encode("utf-8"))
+    with pytest.raises(MalformedFileError, match=(
+            f"^user list {re.escape(str(users))} line 3: invalid username "
+            f"{re.escape(repr(f'bad{character}name'))}: it must not contain a line break$")):
+        parse_user_list(users)
+    users.write_bytes(b"alice,dogs\rbob\r\ncarol,cats\n")
+    assert parse_user_list(users) == [("alice", "dogs"), ("bob", None), ("carol", "cats")]
 
 
 def _formats_exit_codes() -> dict[str, list[int]]:
@@ -693,7 +731,17 @@ def test_exit_table_names_only_public_types():
 
 
 def test_every_public_name_resolves_once():
-    assert len(set(brandmatch.__all__)) == len(brandmatch.__all__)
+    assert sorted(brandmatch.__all__) == sorted([
+        "BrandMatchError", "ContentDocument", "DEFAULT_CATEGORIES", "DocTermMatrix",
+        "Embedding2D", "EmptyCorpusError", "FixtureSpec", "MalformedFileError", "MatchResult",
+        "MissingProfileFileError", "PALETTE", "Post", "Profile", "ProfileSet", "TagPrediction",
+        "UnknownTargetError", "Xorshift64Star", "apply_image_cap", "build_vocabulary",
+        "classical_mds", "count_vectorize", "emit_scatter_svg", "export_matrix_tsv",
+        "generate_brand_profile", "generate_profile_set", "jacobi_eigh", "knn_match",
+        "load_profile", "load_profile_set", "pairwise_distances", "parse_user_list",
+        "save_profile", "smacof_refine", "stress", "synthesize_document", "tfidf_transform",
+        "tokenize"])
+    assert len(set(brandmatch.__all__)) == len(brandmatch.__all__) == 37
     for name in brandmatch.__all__:
         assert hasattr(brandmatch, name), name
 

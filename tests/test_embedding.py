@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from brandmatch import (
-    DegenerateEmbeddingWarning,
-    DimensionMismatchError,
+    BrandMatchError,
     Embedding2D,
     EmptyCorpusError,
     FixtureSpec,
-    InvalidDistanceMatrixError,
     build_vocabulary,
     classical_mds,
     count_vectorize,
@@ -163,7 +161,8 @@ def test_stress_matches_double_loop():
 
 
 def test_stress_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(BrandMatchError,
+                       match=r"^coordinates \(2, 2\) inconsistent with distances \(3, 3\)$"):
         stress(np.zeros((3, 3)), np.zeros((2, 2)))
 
 
@@ -194,7 +193,7 @@ def test_two_points_at_distance_two():
 
 
 def test_identical_points_embed_at_zero_with_warning():
-    with pytest.warns(DegenerateEmbeddingWarning):
+    with pytest.warns(RuntimeWarning, match="^both leading eigenvalues non-positive"):
         result = classical_mds(np.zeros((5, 5)))
     assert not result.coordinates.any()
     assert result.stress == 0.0
@@ -256,25 +255,25 @@ def test_classical_mds_carries_labels_and_categories():
 
 
 def test_classical_mds_input_validation():
-    with pytest.raises(InvalidDistanceMatrixError, match="not symmetric"):
+    with pytest.raises(BrandMatchError, match="not symmetric"):
         classical_mds(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(InvalidDistanceMatrixError, match="nonzero diagonal"):
+    with pytest.raises(BrandMatchError, match="nonzero diagonal"):
         classical_mds(np.array([[1.0, 2.0], [2.0, 0.0]]))
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(InvalidDistanceMatrixError, match="NaN or infinite entry"):
+        with pytest.raises(BrandMatchError, match="NaN or infinite entry"):
             classical_mds(np.array([[0.0, bad], [bad, 0.0]]))
-        with pytest.raises(InvalidDistanceMatrixError, match="NaN or infinite entry"):
+        with pytest.raises(BrandMatchError, match="NaN or infinite entry"):
             smacof_refine(np.array([[0.0, bad], [bad, 0.0]]),
                           classical_mds(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    with pytest.raises(InvalidDistanceMatrixError, match="negative entry"):
+    with pytest.raises(BrandMatchError, match="negative entry"):
         classical_mds(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(BrandMatchError, match=r"^distance matrix must be square, got \(2, 3\)$"):
         classical_mds(np.zeros((2, 3)))
     with pytest.raises(EmptyCorpusError, match="^need at least two points to embed$"):
         classical_mds(np.zeros((1, 1)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(BrandMatchError, match=r"^points \(2, 1\) inconsistent with 3 x 3 distances$"):
         classical_mds(np.zeros((3, 3)), points=np.zeros((2, 1)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(BrandMatchError, match=r"^points \(3,\) inconsistent with 3 x 3 distances$"):
         classical_mds(np.zeros((3, 3)), points=np.zeros(3))
 
 
@@ -298,7 +297,7 @@ def test_classical_mds_from_points_matches_distance_path(users_per_category):
 
 
 def test_classical_mds_identical_points_collapse_with_warning():
-    with pytest.warns(DegenerateEmbeddingWarning):
+    with pytest.warns(RuntimeWarning, match="^both leading eigenvalues non-positive"):
         result = classical_mds(np.zeros((6, 6)), points=np.full((6, 3), 2.5))
     assert not result.coordinates.any()
     assert result.coordinates.shape == (6, 2)
@@ -402,7 +401,8 @@ def test_smacof_input_validation():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     initial = Embedding2D(coordinates=np.zeros((3, 2)), row_labels=("a", "b", "c"),
                           categories=None, stress=0.0)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(BrandMatchError, match=r"^initial configuration \(3, 2\) inconsistent "
+                                              r"with 2 x 2 distances$"):
         smacof_refine(d, initial)
     good = Embedding2D(coordinates=np.zeros((2, 2)), row_labels=("a", "b"),
                        categories=None, stress=0.0)

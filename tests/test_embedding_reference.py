@@ -311,6 +311,6 @@ def test_jacobi_solves_the_distinct_columns(monkeypatch, users_per_category, sol
 
     monkeypatch.setattr(brandmatch.embedding, "jacobi_eigh", recording)
     matrix = _synth_cli_matrix(users_per_category, "counts")
-    assert matrix.shape[1] == 72
+    assert matrix.values.shape[1] == 72
     classical_mds(pairwise_distances(matrix), points=matrix.values)
     assert shapes == [solved]

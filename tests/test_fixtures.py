@@ -1,20 +1,18 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from brandmatch import (
     DEFAULT_CATEGORIES,
+    BrandMatchError,
     FixtureSpec,
-    UnknownCategoryError,
     Xorshift64Star,
     build_vocabulary,
     count_vectorize,
     generate_brand_profile,
     generate_profile_set,
     knn_match,
-    serialize_profile,
+    save_profile,
     synthesize_document,
     tokenize,
 )
@@ -82,10 +80,13 @@ def test_different_seeds_differ():
     assert generate_profile_set(SMALL_SPEC) != generate_profile_set(other)
 
 
-def test_serialized_fixture_is_reproducible():
+def test_serialized_fixture_is_reproducible(tmp_path):
     def dump():
-        profiles = generate_profile_set(FixtureSpec()).profiles
-        return json.dumps([serialize_profile(p) for p in profiles], sort_keys=True)
+        files = []
+        for profile in generate_profile_set(FixtureSpec()).profiles:
+            save_profile(profile, tmp_path / "profile.json")
+            files.append((tmp_path / "profile.json").read_bytes())
+        return files
     assert dump() == dump()
 
 
@@ -133,7 +134,7 @@ def test_brand_deterministic_and_name_sensitive():
 
 
 def test_brand_unknown_category():
-    with pytest.raises(UnknownCategoryError):
+    with pytest.raises(BrandMatchError, match=r"^no category 'aa\+bb' in fixture spec$"):
         generate_brand_profile(SMALL_SPEC, "aa+bb", "blend_brand")
 
 

@@ -1,18 +1,16 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from brandmatch import (
-    DimensionMismatchError,
+    BrandMatchError,
     DocTermMatrix,
     EmptyCorpusError,
     UnknownTargetError,
-    Vocabulary,
-    Weighting,
-    euclidean_distance,
     knn_match,
     pairwise_distances,
 )
@@ -22,9 +20,8 @@ def _matrix(values, labels=None):
     values = np.asarray(values)
     m, n = values.shape
     labels = tuple(labels) if labels else tuple(f"u{i}" for i in range(m))
-    vocab = Vocabulary(index_to_token=tuple(f"t{j}" for j in range(n)))
-    return DocTermMatrix(values=values, row_labels=labels, vocabulary=vocab,
-                         weighting=Weighting.COUNTS)
+    return DocTermMatrix(values=values, row_labels=labels,
+                         vocabulary=tuple(f"t{j}" for j in range(n)))
 
 
 def brute_force_neighbors(rows, target, k):
@@ -41,13 +38,21 @@ def brute_force_neighbors(rows, target, k):
     return scored[:min(k, len(rows) - 1)]
 
 
+def _distance(u, v):
+    """The distance between two rows, through both public kernels."""
+    rows = np.array([u, v])
+    from_knn = knn_match(_matrix(rows), target_index=0, k=1).neighbors[0][1]
+    assert pairwise_distances(rows)[0, 1] == from_knn
+    return from_knn
+
+
 def test_euclidean_three_four_five():
-    assert euclidean_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+    assert _distance([0.0, 0.0], [3.0, 4.0]) == 5.0
 
 
 def test_euclidean_identity():
     u = np.array([1.5, -2.0, 7.0])
-    assert euclidean_distance(u, u) == 0.0
+    assert _distance(u, u) == 0.0
 
 
 def test_euclidean_matches_direct_formula():
@@ -55,12 +60,29 @@ def test_euclidean_matches_direct_formula():
     for _ in range(50):
         u, v = rng.rand(7), rng.rand(7)
         direct = math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
-        assert euclidean_distance(u, v) == pytest.approx(direct, rel=1e-12)
+        assert _distance(u, v) == pytest.approx(direct, rel=1e-12)
+
+
+def _reject_values(values):
+    message = rf"^expected a 2-D matrix of rows, got shape {re.escape(str(np.shape(values)))}$"
+    with pytest.raises(BrandMatchError, match=message):
+        pairwise_distances(values)
+    with pytest.raises(BrandMatchError, match=message):
+        pairwise_distances(DocTermMatrix(values=values, row_labels=(), vocabulary=()))
+    with pytest.raises(BrandMatchError, match=message):
+        knn_match(DocTermMatrix(values=values, row_labels=(), vocabulary=()), target_index=0)
 
 
 def test_euclidean_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        euclidean_distance(np.array([1.0]), np.array([1.0, 2.0]))
+    # a bare row is not a stack of rows: no 1 x 1 or 2 x 2 distance matrix comes back
+    _reject_values(np.array([1.0]))
+    _reject_values(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("values", [np.array(3.0), np.zeros((2, 2, 2))],
+                         ids=["0-D", "3-D"])
+def test_values_that_are_not_2d_rejected(values):
+    _reject_values(values)
 
 
 def test_pairwise_single_row():
@@ -89,7 +111,6 @@ def test_knn_one_dimensional_hand_check():
     result = knn_match(_matrix([[0], [1], [5]]), target_index=0, k=2)
     assert result.neighbors == (("u1", 1.0), ("u2", 5.0))
     assert result.target_username == "u0"
-    assert result.k == 2
 
 
 def test_knn_matches_brute_force_on_integer_matrices():
@@ -171,7 +192,6 @@ def test_knn_scale_equivariance_general_factor():
 def test_knn_truncates_to_m_minus_one():
     result = knn_match(_matrix([[0], [1], [2]]), target_index=0, k=50)
     assert len(result.neighbors) == 2
-    assert result.k == 50
 
 
 def test_knn_distances_non_decreasing():

@@ -24,7 +24,6 @@ from brandmatch import (
     load_profile_set,
     parse_user_list,
     save_profile,
-    serialize_profile,
 )
 from brandmatch.cli import main
 from brandmatch.errors import EXIT_MALFORMED
@@ -344,8 +343,7 @@ def test_round_trip_preserves_profile(tmp_path):
     ])
     original = load_profile(tmp_path / "u.json", "u")
     assert [post.id for post in original.posts[3:]] == ["", ""]
-    (tmp_path / "copy.json").write_text(json.dumps(serialize_profile(original)),
-                                        encoding="utf-8")
+    save_profile(original, tmp_path / "copy.json")
     assert load_profile(tmp_path / "copy.json", "u") == original
 
 

@@ -7,13 +7,12 @@ import pytest
 
 from brandmatch import (
     ContentDocument,
+    DocTermMatrix,
     EmptyCorpusError,
     FixtureSpec,
-    Weighting,
     build_vocabulary,
     count_vectorize,
     export_matrix_tsv,
-    Vocabulary,
     generate_profile_set,
     synthesize_document,
     tfidf_transform,
@@ -31,22 +30,11 @@ def _docs(*token_lists):
 
 
 def test_vocabulary_sorted_distinct():
-    vocab = build_vocabulary(_docs(["dog", "cat"], ["dog", "pug"]))
-    assert vocab.index_to_token == ("cat", "dog", "pug")
-    assert vocab.token_to_index == {"cat": 0, "dog": 1, "pug": 2}
+    assert build_vocabulary(_docs(["dog", "cat"], ["dog", "pug"])) == ("cat", "dog", "pug")
 
 
 def test_vocabulary_single_doc_dedupes():
-    vocab = build_vocabulary(_docs(["zz", "aa", "zz"]))
-    assert vocab.token_to_index == {"aa": 0, "zz": 1}
-
-
-def test_token_to_index_built_once():
-    vocab = build_vocabulary(_docs(["bb", "aa"]))
-    assert vocab.token_to_index is vocab.token_to_index
-    assert vocab.token_to_index == {"aa": 0, "bb": 1}
-    assert "aa" in vocab and "cc" not in vocab
-    assert vocab == build_vocabulary(_docs(["aa", "bb"]))
+    assert build_vocabulary(_docs(["zz", "aa", "zz"])) == ("aa", "zz")
 
 
 def test_vocabulary_empty_corpus():
@@ -59,8 +47,8 @@ def test_count_vectorize_hand_example():
     vocab = build_vocabulary(docs)
     matrix = count_vectorize(docs, vocab)
     assert matrix.values.tolist() == [[1, 2]]
-    assert matrix.weighting is Weighting.COUNTS
     assert matrix.values.dtype == np.int64
+    assert matrix.vocabulary == ("cat", "dog")
 
 
 def test_out_of_vocabulary_tokens_ignored():
@@ -79,7 +67,7 @@ def test_row_sums_match_independent_recount():
         counted = Counter(t for t in doc.tokens if t in vocab)
         assert row.sum() == sum(counted.values())
         for token, count in counted.items():
-            assert row[vocab.token_to_index[token]] == count
+            assert row[vocab.index(token)] == count
 
 
 def test_total_count_bookkeeping():
@@ -102,7 +90,8 @@ def test_tfidf_two_by_two_frozen_values():
     counts = count_vectorize(docs, build_vocabulary(docs))
     assert counts.values.tolist() == [[1, 1], [1, 0]]
     weighted = tfidf_transform(counts)
-    assert weighted.weighting is Weighting.TFIDF
+    assert weighted.values.dtype == np.float64
+    assert weighted.vocabulary == counts.vocabulary
     assert weighted.values[0] == pytest.approx(ROW0_NORMALIZED, abs=1e-9)
     assert weighted.values[1] == pytest.approx((1.0, 0.0), abs=1e-9)
 
@@ -141,9 +130,12 @@ def test_idf_non_increasing_in_document_frequency():
 
 def test_tfidf_requires_counts_input():
     docs = _docs(["aa"])
-    weighted = tfidf_transform(count_vectorize(docs, build_vocabulary(docs)))
-    with pytest.raises(ValueError):
-        tfidf_transform(weighted)
+    counts = count_vectorize(docs, build_vocabulary(docs))
+    as_floats = DocTermMatrix(values=counts.values.astype(np.float64),
+                              row_labels=counts.row_labels, vocabulary=counts.vocabulary)
+    for matrix in (tfidf_transform(counts), as_floats):
+        with pytest.raises(ValueError, match="^tfidf_transform expects a counts-weighted matrix$"):
+            tfidf_transform(matrix)
 
 
 def test_document_permutation_permutes_rows():
@@ -173,9 +165,19 @@ def test_export_tsv_layout():
     assert lines[1] == "u0\t1\t2"
 
 
+def test_export_tsv_integers_for_integer_values_floats_otherwise():
+    for dtype in (np.int64, np.int32, np.uint8):
+        matrix = DocTermMatrix(values=np.array([[3, 0]], dtype=dtype), row_labels=("u0",),
+                               vocabulary=("aa", "bb"))
+        assert export_matrix_tsv(matrix) == "username\taa\tbb\nu0\t3\t0\n"
+    floats = DocTermMatrix(values=np.array([[3.0, 0.1]]), row_labels=("u0",),
+                           vocabulary=("aa", "bb"))
+    assert export_matrix_tsv(floats) == "username\taa\tbb\nu0\t3.0\t0.1\n"
+
+
 def _reference_count_values(documents, vocabulary):
     # the plain loop: one increment per known token
-    index = vocabulary.token_to_index
+    index = {token: j for j, token in enumerate(vocabulary)}
     values = np.zeros((len(documents), len(vocabulary)), dtype=np.int64)
     for i, doc in enumerate(documents):
         for token in doc.tokens:
@@ -192,8 +194,8 @@ def test_counts_equal_the_plain_loop():
     documents += _docs([], ["zz", "zz", "yy"], ["beagle"] * 7 + ["zz"])
     full = build_vocabulary(documents)
     for vocabulary in (full,  # every token known
-                       Vocabulary(full.index_to_token[::3]),  # most tokens unknown
-                       Vocabulary(("beagle",))):
+                       full[::3],  # most tokens unknown
+                       ("beagle",)):
         matrix = count_vectorize(documents, vocabulary)
         assert matrix.values.dtype == np.int64
         assert np.array_equal(matrix.values, _reference_count_values(documents, vocabulary))

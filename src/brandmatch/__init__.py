@@ -9,7 +9,7 @@ profile space.
 __version__ = "0.1.0"
 
 from .content_synthesis import ContentDocument, synthesize_document, tokenize
-from .embedding import Embedding2D, classical_mds, jacobi_eigh, smacof_refine, stress
+from .embedding import Embedding2D, classical_mds, smacof_refine, stress
 from .errors import (
     BrandMatchError,
     EmptyCorpusError,
@@ -18,7 +18,6 @@ from .errors import (
     UnknownTargetError,
 )
 from .fixtures import (
-    DEFAULT_CATEGORIES,
     FixtureSpec,
     Xorshift64Star,
     generate_brand_profile,
@@ -43,12 +42,11 @@ from .vectorizer import (
     export_matrix_tsv,
     tfidf_transform,
 )
-from .visualization import PALETTE, emit_scatter_svg
+from .visualization import emit_scatter_svg
 
 __all__ = [
     "BrandMatchError",
     "ContentDocument",
-    "DEFAULT_CATEGORIES",
     "DocTermMatrix",
     "Embedding2D",
     "EmptyCorpusError",
@@ -56,7 +54,6 @@ __all__ = [
     "MalformedFileError",
     "MatchResult",
     "MissingProfileFileError",
-    "PALETTE",
     "Post",
     "Profile",
     "ProfileSet",
@@ -71,7 +68,6 @@ __all__ = [
     "export_matrix_tsv",
     "generate_brand_profile",
     "generate_profile_set",
-    "jacobi_eigh",
     "knn_match",
     "load_profile",
     "load_profile_set",

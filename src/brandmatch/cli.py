@@ -166,21 +166,18 @@ def cmd_match(args: argparse.Namespace) -> int:
 def cmd_embed_and_plot(args: argparse.Namespace) -> int:
     """Embed all profiles to 2-D (classical MDS + SMACOF) and write TSV + SVG."""
     matrix, target_index, categories, outputs = _build_matrix(args)
-    distances = pairwise_distances(matrix)
+    distances = pairwise_distances(matrix.values)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        initial = classical_mds(distances, row_labels=matrix.row_labels,
-                                categories=categories, points=matrix.values)
-        refined = smacof_refine(distances, initial)
+        refined = smacof_refine(distances, classical_mds(distances, points=matrix.values))
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
 
     lines = ["username\tcategory\tx\ty"]
-    for label, category, (x, y) in zip(refined.row_labels, categories,
-                                       refined.coordinates):
+    for label, category, (x, y) in zip(matrix.row_labels, categories, refined.coordinates):
         lines.append(f"{label}\t{category or ''}\t{float(x)!r}\t{float(y)!r}")
-    svg = emit_scatter_svg(refined, f"Target brand profile: {args.target}",
-                           target_index=target_index)
+    svg = emit_scatter_svg(refined.coordinates, matrix.row_labels, categories,
+                           f"Target brand profile: {args.target}", target_index=target_index)
 
     outputs += [(args.embedding, "\n".join(lines) + "\n"), (args.plot, svg)]
     _write_outputs(outputs)

@@ -29,8 +29,8 @@ randomness, so identical inputs give bit-identical embeddings.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from .errors import BrandMatchError, EmptyCorpusError
 
@@ -47,8 +47,6 @@ _JACOBI_REL_THRESHOLD = 1e-12
 @dataclass(frozen=True)
 class Embedding2D:
     coordinates: np.ndarray
-    row_labels: tuple[str, ...]
-    categories: Optional[tuple[Optional[str], ...]]
     stress: float
 
 
@@ -204,17 +202,14 @@ def _fix_column_signs(coordinates: np.ndarray) -> np.ndarray:
     return coordinates
 
 
-def classical_mds(distances: np.ndarray,
-                  row_labels: Optional[Sequence[str]] = None,
-                  categories: Optional[Sequence[Optional[str]]] = None, *,
-                  points: Optional[np.ndarray] = None) -> Embedding2D:
-    """Torgerson scaling of a distance matrix to 2 coordinates.
+def classical_mds(distances: np.ndarray, *,
+                  points: Optional[np.ndarray] = None) -> np.ndarray:
+    """Torgerson scaling of a distance matrix to an m x 2 coordinate array.
 
     ``points``, if given, are the m x V rows the Euclidean distances were
     computed from; identical centred columns are merged into V' distinct ones
     and, when V' < m, the eigenproblem is solved on the V' x V' Gram matrix of
     the merged columns instead of the m x m matrix B (see the module docstring).
-    The stress is always measured against ``distances``.
 
     Negative leading eigenvalues (non-Euclidean input) clamp to zero and yield
     a zero coordinate column; if both leading eigenvalues are non-positive the
@@ -253,17 +248,13 @@ def classical_mds(distances: np.ndarray,
     if np.all(top_values <= 0.0):
         warnings.warn("both leading eigenvalues non-positive; embedding collapsed to zero",
                       RuntimeWarning, stacklevel=2)
-    coordinates = _fix_column_signs(coordinates)
-    labels = tuple(row_labels) if row_labels is not None else tuple(str(i) for i in range(m))
-    cats = tuple(categories) if categories is not None else None
-    return Embedding2D(coordinates=coordinates, row_labels=labels, categories=cats,
-                       stress=stress(d, coordinates))
+    return _fix_column_signs(coordinates)
 
 
-def smacof_refine(distances: np.ndarray, initial: Embedding2D,
+def smacof_refine(distances: np.ndarray, initial: np.ndarray,
                   max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
                   return_history: bool = False):
-    """Stress majorization from an initial configuration via the Guttman transform.
+    """Stress majorization from an initial m x 2 configuration via the Guttman transform.
 
     With ``R = delta / dhat`` (0 for coincident points) the update is
     ``X <- (1/m) * (rowsum(R) * X - R * X)``, which is ``(1/m) B(X) X`` without
@@ -280,7 +271,7 @@ def smacof_refine(distances: np.ndarray, initial: Embedding2D,
         raise ValueError("tol must be positive")
     d = _check_distance_matrix(distances)
     m = d.shape[0]
-    x = np.array(initial.coordinates, dtype=np.float64, copy=True)
+    x = np.array(initial, dtype=np.float64, copy=True)
     if x.ndim != 2 or x.shape[0] != m or x.shape[1] != 2:
         raise BrandMatchError(
             f"initial configuration {x.shape} inconsistent with {m} x {m} distances")
@@ -307,8 +298,7 @@ def smacof_refine(distances: np.ndarray, initial: Embedding2D,
                       f"relative stress decrease {decrease:.3e}, tol {tol:.3e}",
                       RuntimeWarning, stacklevel=2)
 
-    x = x - x.mean(axis=0)
-    refined = replace(initial, coordinates=x, stress=current)
+    refined = Embedding2D(coordinates=x - x.mean(axis=0), stress=current)
     if return_history:
         return refined, history
     return refined

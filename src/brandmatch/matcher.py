@@ -46,10 +46,10 @@ def _distances_to(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def pairwise_distances(matrix: DocTermMatrix | np.ndarray) -> np.ndarray:
-    """Symmetric m x m Euclidean distance matrix, each unordered pair computed once."""
+def pairwise_distances(values: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of an m x V array, each unordered pair once."""
     import numpy as np
-    rows = _float_rows(matrix.values if isinstance(matrix, DocTermMatrix) else matrix)
+    rows = _float_rows(values)
     m = rows.shape[0]
     out = np.zeros((m, m), dtype=np.float64)
     for i in range(m - 1):
@@ -68,6 +68,8 @@ def knn_match(matrix: DocTermMatrix, target_index: int, k: int = DEFAULT_K) -> M
         raise ValueError("k must be a positive integer")
     rows = _float_rows(matrix.values)
     m = rows.shape[0]
+    if len(matrix.row_labels) != m:
+        raise BrandMatchError(f"{len(matrix.row_labels)} row labels for {m} rows")
     if not 0 <= target_index < m:
         raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
     if m < 2:

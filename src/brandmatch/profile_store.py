@@ -83,7 +83,8 @@ class ProfileSet:
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise MalformedFileError(f"duplicate usernames: {', '.join(dupes)}")
         if self.target_index is not None and not 0 <= self.target_index < len(self.profiles):
-            raise IndexError(f"target_index {self.target_index} outside 0..{len(self.profiles) - 1}")
+            raise UnknownTargetError(
+                f"target_index {self.target_index} outside 0..{len(self.profiles) - 1}")
 
 
 def _parse_count(raw: object, key: str) -> int:
@@ -288,12 +289,13 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
     Raises MissingProfileFileError when the file is absent or is a directory,
     and MalformedFileError when it is not UTF-8, a username breaks the
     ``check_username`` rule or is repeated, or a category holds a tab, a line break or
-    a character XML 1.0 forbids. Lines end only at LF, CR or CRLF.
+    a character XML 1.0 forbids. Lines end only at LF, CR or CRLF; spaces and tabs
+    around a line and each field are stripped, and a leading BOM is ignored.
     """
     entries: list[tuple[str, Optional[str]]] = []
     seen: set[str] = set()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (FileNotFoundError, NotADirectoryError):
         raise MissingProfileFileError(f"user list not found: {path}") from None
     except IsADirectoryError:
@@ -303,12 +305,12 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
     # read_text has turned CR and CRLF into LF; str.splitlines would also split at the
     # line breaks the name rules reject
     for number, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
+        line = line.strip(" \t")
         if not line or line.startswith("#"):
             continue
         username, _, category = line.partition(",")
-        username = username.strip()
-        category = category.strip() or None
+        username = username.strip(" \t")
+        category = category.strip(" \t") or None
         try:
             check_username(username)
             if category:

@@ -2,16 +2,18 @@
 
 Category-colored circles for influencers, a gold star for the target brand,
 a username label beside every point, and a legend. Output is a pure function
-of the inputs: same embedding, title and target, byte-identical SVG.
+of the inputs: the same inputs give a byte-identical SVG.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .embedding import Embedding2D
-from .errors import UnknownTargetError
+from .errors import BrandMatchError, UnknownTargetError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # 10 distinguishable category colors, assigned in order of each category's first row.
 PALETTE = (
@@ -74,20 +76,22 @@ def _star_path(cx: float, cy: float, outer: float = _STAR_OUTER) -> str:
     return "M " + " L ".join(points) + " Z"
 
 
-def emit_scatter_svg(embedding: Embedding2D, title: str,
+def emit_scatter_svg(coordinates: np.ndarray, labels: Sequence[str],
+                     categories: Sequence[Optional[str]], title: str,
                      target_index: Optional[int] = None) -> str:
-    """Render the embedding as a self-contained SVG 1.1 document string.
+    """Render m x 2 coordinates, one label and category per row, as an SVG 1.1 string.
 
     Categories take palette colors in order of first appearance, skipping the
     target row; the legend lists them in that order, then the target. When the
     star is drawn, other rows of category ``target`` share its gold and its legend row.
     """
-    m = embedding.coordinates.shape[0]
+    m = coordinates.shape[0]
     if m < 1:
         raise ValueError("embedding has no rows")
+    if len(labels) != m or len(categories) != m:
+        raise BrandMatchError(f"{len(labels)} labels, {len(categories)} categories for {m} rows")
     if target_index is not None and not 0 <= target_index < m:
         raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
-    categories = embedding.categories or (None,) * m
     colors: dict[str, str] = {}
     star = target_index is not None
     for i, category in enumerate(categories):
@@ -95,7 +99,7 @@ def emit_scatter_svg(embedding: Embedding2D, title: str,
             colors.setdefault(category, PALETTE[len(colors) % len(PALETTE)])
     if star:
         colors["target"] = TARGET_COLOR
-    to_pixel = _viewport_transform(embedding.coordinates)
+    to_pixel = _viewport_transform(coordinates)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -108,7 +112,7 @@ def emit_scatter_svg(embedding: Embedding2D, title: str,
         f'{_escape(title)}</text>',
     ]
 
-    pixels = [to_pixel(float(x), float(y)) for x, y in embedding.coordinates]
+    pixels = [to_pixel(float(x), float(y)) for x, y in coordinates]
     for i, (px, py) in enumerate(pixels):
         if i == target_index:
             parts.append(f'<path class="target" d="{_star_path(px, py)}" '
@@ -117,10 +121,9 @@ def emit_scatter_svg(embedding: Embedding2D, title: str,
             color = colors.get(categories[i], UNCATEGORIZED_COLOR)
             parts.append(f'<circle class="point" cx="{px:.2f}" cy="{py:.2f}" '
                          f'r="{_POINT_RADIUS:.2f}" fill="{color}"/>')
-    for i, (px, py) in enumerate(pixels):
+    for label, (px, py) in zip(labels, pixels):
         parts.append(f'<text class="label" x="{px + _LABEL_DX:.2f}" y="{py + _LABEL_DY:.2f}" '
-                     f'font-family="sans-serif" font-size="11">'
-                     f'{_escape(embedding.row_labels[i])}</text>')
+                     f'font-family="sans-serif" font-size="11">{_escape(label)}</text>')
 
     legend_x = _WIDTH_PX - _MARGIN_PX - 130
     legend_y = _MARGIN_PX + 10

@@ -123,7 +123,7 @@ def test_criterion_3_mds_recovery():
         m = int(rng.randint(3, 26))
         points = rng.rand(m, 2) * 10.0
         distances = pairwise_distances(points)
-        embedded = pairwise_distances(classical_mds(distances).coordinates)
+        embedded = pairwise_distances(classical_mds(distances))
         i, j = np.triu_indices(m, k=1)
         relative = np.abs(embedded[i, j] - distances[i, j]) / distances[i, j]
         assert relative.max() < 1e-6

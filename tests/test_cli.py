@@ -691,6 +691,30 @@ def test_user_list_lines_end_only_at_lf_cr_or_crlf(character, tmp_path):
     assert parse_user_list(users) == [("alice", "dogs"), ("bob", None), ("carol", "cats")]
 
 
+@pytest.mark.parametrize("character", LINE_BREAKS)
+def test_user_list_strips_only_spaces_and_tabs(character, tmp_path):
+    users = tmp_path / "users.txt"
+    users.write_text(" \tdogs_01 \t, \tdogs\t \n", encoding="utf-8")
+    assert parse_user_list(users) == [("dogs_01", "dogs")]
+    # other whitespace around a name is part of it, so the line-break rule sees it
+    users.write_text(f"dogs_01{character},dogs{character}\n", encoding="utf-8")
+    with pytest.raises(MalformedFileError, match=(
+            f"^user list {re.escape(str(users))} line 1: invalid username "
+            f"{re.escape(repr(f'dogs_01{character}'))}: it must not contain a line break$")):
+        parse_user_list(users)
+
+
+def test_user_list_ignores_a_leading_byte_order_mark(tmp_path, capsys):
+    write_profile_file(tmp_path, "dogs_01", [image_post(["dog"], [0.9])])
+    write_profile_file(tmp_path, "brand", [image_post(["dog"], [0.9])])
+    users = tmp_path / "users.txt"
+    users.write_text("\ufeffdogs_01,dogs\nbrand,target\n", encoding="utf-8")
+    assert parse_user_list(users) == [("dogs_01", "dogs"), ("brand", "target")]
+    assert main(["match", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "brand"]) == EXIT_OK
+    assert "1\tdogs_01\t0.000000\n" in capsys.readouterr().out
+
+
 def _formats_exit_codes() -> dict[str, list[int]]:
     """Each type named in the FORMATS.md exit-code table, with the codes of its rows."""
     text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
@@ -732,16 +756,16 @@ def test_exit_table_names_only_public_types():
 
 def test_every_public_name_resolves_once():
     assert sorted(brandmatch.__all__) == sorted([
-        "BrandMatchError", "ContentDocument", "DEFAULT_CATEGORIES", "DocTermMatrix",
-        "Embedding2D", "EmptyCorpusError", "FixtureSpec", "MalformedFileError", "MatchResult",
-        "MissingProfileFileError", "PALETTE", "Post", "Profile", "ProfileSet", "TagPrediction",
+        "BrandMatchError", "ContentDocument", "DocTermMatrix", "Embedding2D",
+        "EmptyCorpusError", "FixtureSpec", "MalformedFileError", "MatchResult",
+        "MissingProfileFileError", "Post", "Profile", "ProfileSet", "TagPrediction",
         "UnknownTargetError", "Xorshift64Star", "apply_image_cap", "build_vocabulary",
         "classical_mds", "count_vectorize", "emit_scatter_svg", "export_matrix_tsv",
-        "generate_brand_profile", "generate_profile_set", "jacobi_eigh", "knn_match",
+        "generate_brand_profile", "generate_profile_set", "knn_match",
         "load_profile", "load_profile_set", "pairwise_distances", "parse_user_list",
         "save_profile", "smacof_refine", "stress", "synthesize_document", "tfidf_transform",
         "tokenize"])
-    assert len(set(brandmatch.__all__)) == len(brandmatch.__all__) == 37
+    assert len(set(brandmatch.__all__)) == len(brandmatch.__all__) == 34
     for name in brandmatch.__all__:
         assert hasattr(brandmatch, name), name
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from brandmatch import (
     count_vectorize,
     generate_brand_profile,
     generate_profile_set,
-    jacobi_eigh,
     pairwise_distances,
     smacof_refine,
     stress,
@@ -23,6 +23,7 @@ from brandmatch import (
     tfidf_transform,
 )
 from brandmatch import embedding
+from brandmatch.embedding import jacobi_eigh
 
 
 def _random_symmetric(rng, n):
@@ -184,27 +185,26 @@ def test_stress_invariant_under_rigid_motions():
 def test_two_points_at_distance_two():
     d = np.array([[0.0, 2.0], [2.0, 0.0]])
     result = classical_mds(d)
-    assert result.coordinates == pytest.approx(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                                               abs=1e-12)
-    assert result.stress <= 1e-18
+    assert result == pytest.approx(np.array([[1.0, 0.0], [-1.0, 0.0]]), abs=1e-12)
+    assert stress(d, result) <= 1e-18
     # sign convention: the largest-magnitude entry of each column is positive,
     # earliest row winning ties
-    assert result.coordinates[0, 0] > 0
+    assert result[0, 0] > 0
 
 
 def test_identical_points_embed_at_zero_with_warning():
     with pytest.warns(RuntimeWarning, match="^both leading eigenvalues non-positive"):
         result = classical_mds(np.zeros((5, 5)))
-    assert not result.coordinates.any()
-    assert result.stress == 0.0
+    assert not result.any()
+    assert stress(np.zeros((5, 5)), result) == 0.0
 
 
 def test_right_triangle_recovery():
     pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     d = pairwise_distances(pts)
     result = classical_mds(d)
-    assert np.max(_rel_distance_error(d, result.coordinates)) < 1e-9
-    embedded = pairwise_distances(result.coordinates)
+    assert np.max(_rel_distance_error(d, result)) < 1e-9
+    embedded = pairwise_distances(result)
     i, j = np.triu_indices(3, k=1)
     assert sorted(embedded[i, j]) == pytest.approx([3.0, 4.0, 5.0], rel=1e-9)
 
@@ -216,26 +216,26 @@ def test_planted_2d_configurations_recovered():
         pts = rng.rand(m, 2) * 5
         d = pairwise_distances(pts)
         result = classical_mds(d)
-        assert np.max(_rel_distance_error(d, result.coordinates)) < 1e-6
+        assert np.max(_rel_distance_error(d, result)) < 1e-6
 
 
 def test_collinear_points_second_column_vanishes():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     result = classical_mds(d)
-    assert np.max(np.abs(result.coordinates[:, 1])) < 1e-6
-    assert np.max(_rel_distance_error(d, result.coordinates)) < 1e-6
+    assert np.max(np.abs(result[:, 1])) < 1e-6
+    assert np.max(_rel_distance_error(d, result)) < 1e-6
     # one column of points: the V x V path has a single eigenpair, so its
     # second column is exactly zero where B's carries rounding noise
     from_points = classical_mds(d, points=np.array([[0.0], [1.0], [2.0]]))
-    assert not from_points.coordinates[:, 1].any()
-    assert np.abs(from_points.coordinates[:, 0] - result.coordinates[:, 0]).max() <= 1e-9
+    assert not from_points[:, 1].any()
+    assert np.abs(from_points[:, 0] - result[:, 0]).max() <= 1e-9
 
 
 def test_embedding_is_centered():
     rng = np.random.RandomState(23)
     d = pairwise_distances(rng.rand(12, 6))
     result = classical_mds(d)
-    assert np.abs(result.coordinates.mean(axis=0)).max() <= 1e-9
+    assert np.abs(result.mean(axis=0)).max() <= 1e-9
 
 
 def test_classical_mds_deterministic():
@@ -243,15 +243,8 @@ def test_classical_mds_deterministic():
     d = pairwise_distances(rng.rand(10, 4))
     first = classical_mds(d)
     second = classical_mds(d)
-    assert np.array_equal(first.coordinates, second.coordinates)
-    assert first.stress == second.stress
-
-
-def test_classical_mds_carries_labels_and_categories():
-    d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    result = classical_mds(d, row_labels=["a", "b"], categories=["dogs", None])
-    assert result.row_labels == ("a", "b")
-    assert result.categories == ("dogs", None)
+    assert np.array_equal(first, second)
+    assert stress(d, first) == stress(d, second)
 
 
 def test_classical_mds_input_validation():
@@ -289,18 +282,17 @@ def test_classical_mds_from_points_matches_distance_path(users_per_category):
     for matrix in (counts, tfidf_transform(counts)):
         m, v = matrix.values.shape
         assert (v < m) == (users_per_category == 20)
-        d = pairwise_distances(matrix)
+        d = pairwise_distances(matrix.values)
         reference = classical_mds(d)
         from_points = classical_mds(d, points=matrix.values)
-        assert np.abs(from_points.coordinates - reference.coordinates).max() <= 1e-9
-        assert from_points.stress == stress(d, from_points.coordinates)
+        assert np.abs(from_points - reference).max() <= 1e-9
 
 
 def test_classical_mds_identical_points_collapse_with_warning():
     with pytest.warns(RuntimeWarning, match="^both leading eigenvalues non-positive"):
         result = classical_mds(np.zeros((6, 6)), points=np.full((6, 3), 2.5))
-    assert not result.coordinates.any()
-    assert result.coordinates.shape == (6, 2)
+    assert not result.any()
+    assert result.shape == (6, 2)
 
 
 # --- SMACOF ----------------------------------------------------------------
@@ -330,8 +322,7 @@ def test_smacof_stress_non_increasing():
 
 def test_smacof_two_points_reach_target_distance():
     d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    initial = Embedding2D(coordinates=np.array([[0.0, 0.0], [0.1, 0.0]]),
-                          row_labels=("a", "b"), categories=None, stress=0.0)
+    initial = np.array([[0.0, 0.0], [0.1, 0.0]])
     refined = smacof_refine(d, initial)
     embedded = pairwise_distances(refined.coordinates)
     assert embedded[0, 1] == pytest.approx(2.0, abs=1e-6)
@@ -341,26 +332,29 @@ def test_smacof_improves_a_perturbed_configuration():
     rng = np.random.RandomState(47)
     pts = rng.rand(9, 2)
     d = pairwise_distances(pts)
-    noisy = Embedding2D(coordinates=pts + rng.rand(9, 2) * 0.3,
-                        row_labels=tuple(f"u{i}" for i in range(9)),
-                        categories=None, stress=0.0)
+    noisy = pts + rng.rand(9, 2) * 0.3
     refined = smacof_refine(d, noisy, max_iter=500, tol=1e-12)
-    assert refined.stress < stress(d, noisy.coordinates)
+    assert refined.stress < stress(d, noisy)
     assert refined.stress < 1e-8
+
+
+def test_smacof_returns_only_coordinates_and_stress():
+    d = np.array([[0.0, 2.0], [2.0, 0.0]])
+    refined = smacof_refine(d, classical_mds(d))
+    assert isinstance(refined, Embedding2D)
+    assert [field.name for field in dataclasses.fields(refined)] == ["coordinates", "stress"]
 
 
 def test_smacof_result_is_recentered():
     d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    initial = Embedding2D(coordinates=np.array([[10.0, 5.0], [12.0, 5.0]]),
-                          row_labels=("a", "b"), categories=None, stress=0.0)
+    initial = np.array([[10.0, 5.0], [12.0, 5.0]])
     refined = smacof_refine(d, initial)
     assert np.abs(refined.coordinates.mean(axis=0)).max() <= 1e-9
 
 
 def test_smacof_coincident_initial_points():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    initial = Embedding2D(coordinates=np.zeros((2, 2)), row_labels=("a", "b"),
-                          categories=None, stress=0.0)
+    initial = np.zeros((2, 2))
     refined = smacof_refine(d, initial)
     assert np.isfinite(refined.coordinates).all()
     assert refined.stress >= 0.0
@@ -399,13 +393,11 @@ def test_stress_accepts_any_number_of_columns():
 
 def test_smacof_input_validation():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    initial = Embedding2D(coordinates=np.zeros((3, 2)), row_labels=("a", "b", "c"),
-                          categories=None, stress=0.0)
+    initial = np.zeros((3, 2))
     with pytest.raises(BrandMatchError, match=r"^initial configuration \(3, 2\) inconsistent "
                                               r"with 2 x 2 distances$"):
         smacof_refine(d, initial)
-    good = Embedding2D(coordinates=np.zeros((2, 2)), row_labels=("a", "b"),
-                       categories=None, stress=0.0)
+    good = np.zeros((2, 2))
     with pytest.raises(ValueError):
         smacof_refine(d, good, max_iter=0)
     with pytest.raises(ValueError):

@@ -14,26 +14,24 @@ distances, both relative to the RMS radius.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import brandmatch.embedding
 from brandmatch import (
-    Embedding2D,
     FixtureSpec,
     build_vocabulary,
     classical_mds,
     count_vectorize,
     generate_brand_profile,
     generate_profile_set,
-    jacobi_eigh,
     pairwise_distances,
     smacof_refine,
+    stress,
     synthesize_document,
     tfidf_transform,
 )
+from brandmatch.embedding import jacobi_eigh
 
 
 def _reference_round_robin(n):
@@ -177,7 +175,7 @@ def test_jacobi_identical_on_a_synth_gram_matrix(weighting):
 
 def _assert_smacof_close(distances, initial):
     refined, history = smacof_refine(distances, initial, return_history=True)
-    coordinates, reference_history = _reference_smacof(distances, initial.coordinates)
+    coordinates, reference_history = _reference_smacof(distances, initial)
     assert len(history) == len(reference_history)
     np.testing.assert_allclose(history, reference_history, rtol=1e-12, atol=0.0)
     radius = np.sqrt((coordinates ** 2).sum(axis=1).mean())
@@ -189,7 +187,7 @@ def _assert_smacof_close(distances, initial):
 @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
 def test_smacof_matches_reference_on_synth_fixtures(seed, weighting):
     matrix = _synth_matrix(seed, weighting)
-    distances = pairwise_distances(matrix)
+    distances = pairwise_distances(matrix.values)
     _assert_smacof_close(distances, classical_mds(distances, points=matrix.values))
 
 
@@ -201,14 +199,12 @@ def test_smacof_matches_reference_with_coincident_points():
     distances = pairwise_distances(points)
     initial = classical_mds(distances, points=points)
     assert distances[2, 7] == 0.0
-    assert np.array_equal(initial.coordinates[2], initial.coordinates[7])
+    assert np.array_equal(initial[2], initial[7])
     _assert_smacof_close(distances, initial)
-    merged = initial.coordinates.copy()
+    merged = initial.copy()
     merged[5] = merged[6]  # apart in the input, together in the start
-    _assert_smacof_close(distances, replace(initial, coordinates=merged))
-    collapsed = Embedding2D(coordinates=np.zeros((9, 2)), row_labels=initial.row_labels,
-                            categories=None, stress=0.0)
-    _assert_smacof_close(distances, collapsed)
+    _assert_smacof_close(distances, merged)
+    _assert_smacof_close(distances, np.zeros((9, 2)))
 
 
 def _reference_fix_column_signs(coordinates):
@@ -268,9 +264,9 @@ def _assert_coordinates_close(coordinates, reference, relative):
 @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
 def test_classical_mds_matches_the_unmerged_column_path(weighting):
     matrix = _synth_cli_matrix(20, weighting)  # m = 101, V = 72, V' = 42
-    distances = pairwise_distances(matrix)
+    distances = pairwise_distances(matrix.values)
     embedding = classical_mds(distances, points=matrix.values)
-    _assert_coordinates_close(embedding.coordinates,
+    _assert_coordinates_close(embedding,
                               _reference_classical_mds(distances, matrix.values), 1e-12)
 
 
@@ -283,18 +279,19 @@ def test_classical_mds_matches_the_unmerged_column_path(weighting):
 ])
 def test_classical_mds_matches_the_distance_only_path(users_per_category, weighting):
     matrix = _synth_cli_matrix(users_per_category, weighting)
-    distances = pairwise_distances(matrix)
+    distances = pairwise_distances(matrix.values)
     from_points = classical_mds(distances, points=matrix.values)
     from_distances = classical_mds(distances)
-    _assert_coordinates_close(from_points.coordinates, from_distances.coordinates, 1e-10)
-    assert from_points.stress == pytest.approx(from_distances.stress, rel=1e-10)
+    _assert_coordinates_close(from_points, from_distances, 1e-10)
+    assert stress(distances, from_points) == pytest.approx(stress(distances, from_distances),
+                                                         rel=1e-10)
 
 
 def test_classical_mds_matches_double_centring_at_m_501():
     matrix = _synth_cli_matrix(100, "tfidf")
-    distances = pairwise_distances(matrix)
+    distances = pairwise_distances(matrix.values)
     embedding = classical_mds(distances, points=matrix.values)
-    _assert_coordinates_close(embedding.coordinates, _lapack_double_centring(distances), 1e-10)
+    _assert_coordinates_close(embedding, _lapack_double_centring(distances), 1e-10)
 
 
 @pytest.mark.parametrize("users_per_category, solved", [
@@ -312,5 +309,5 @@ def test_jacobi_solves_the_distinct_columns(monkeypatch, users_per_category, sol
     monkeypatch.setattr(brandmatch.embedding, "jacobi_eigh", recording)
     matrix = _synth_cli_matrix(users_per_category, "counts")
     assert matrix.values.shape[1] == 72
-    classical_mds(pairwise_distances(matrix), points=matrix.values)
+    classical_mds(pairwise_distances(matrix.values), points=matrix.values)
     assert shapes == [solved]

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from brandmatch import (
-    DEFAULT_CATEGORIES,
     BrandMatchError,
     FixtureSpec,
     Xorshift64Star,
@@ -16,6 +15,7 @@ from brandmatch import (
     synthesize_document,
     tokenize,
 )
+from brandmatch.fixtures import DEFAULT_CATEGORIES
 
 POOL_A = tuple(f"alpha tag{i}" for i in range(8))
 POOL_B = tuple(f"beta item{i + 10}" for i in range(8))

@@ -68,8 +68,6 @@ def _reject_values(values):
     with pytest.raises(BrandMatchError, match=message):
         pairwise_distances(values)
     with pytest.raises(BrandMatchError, match=message):
-        pairwise_distances(DocTermMatrix(values=values, row_labels=(), vocabulary=()))
-    with pytest.raises(BrandMatchError, match=message):
         knn_match(DocTermMatrix(values=values, row_labels=(), vocabulary=()), target_index=0)
 
 
@@ -86,18 +84,18 @@ def test_values_that_are_not_2d_rejected(values):
 
 
 def test_pairwise_single_row():
-    assert pairwise_distances(_matrix([[4, 2]])).tolist() == [[0.0]]
+    assert pairwise_distances(np.array([[4, 2]])).tolist() == [[0.0]]
 
 
 def test_pairwise_two_rows():
-    d = pairwise_distances(_matrix([[0, 0], [3, 4]]))
+    d = pairwise_distances(np.array([[0, 0], [3, 4]]))
     assert d.tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
 
 def test_pairwise_symmetry_and_triangle_inequality():
     rng = np.random.RandomState(3)
     rows = rng.rand(10, 6)
-    d = pairwise_distances(_matrix(rows))
+    d = pairwise_distances(rows)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     m = len(rows)
@@ -204,6 +202,13 @@ def test_knn_distances_non_decreasing():
 def test_knn_target_out_of_range():
     with pytest.raises(UnknownTargetError, match="^target index 5 outside 0..1$"):
         knn_match(_matrix([[0], [1]]), target_index=5)
+
+
+@pytest.mark.parametrize("labels", [("u0",), ("u0", "u1", "u2")], ids=["fewer", "more"])
+def test_knn_rejects_a_label_count_other_than_the_row_count(labels):
+    matrix = DocTermMatrix(values=np.array([[0], [1]]), row_labels=labels, vocabulary=("t0",))
+    with pytest.raises(BrandMatchError, match=f"^{len(labels)} row labels for 2 rows$"):
+        knn_match(matrix, target_index=0)
 
 
 def test_knn_singleton_set():

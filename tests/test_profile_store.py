@@ -367,8 +367,10 @@ def test_profile_set_rejects_duplicates_and_bad_target():
     profile = Profile(username="a")
     with pytest.raises(MalformedFileError, match="^duplicate usernames: a$"):
         ProfileSet(profiles=(profile, Profile(username="a")))
-    with pytest.raises(IndexError):
+    with pytest.raises(UnknownTargetError, match=r"^target_index 3 outside 0\.\.0$"):
         ProfileSet(profiles=(profile,), target_index=3)
+    with pytest.raises(UnknownTargetError, match=r"^target_index 0 outside 0\.\.-1$"):
+        ProfileSet((), target_index=0)
 
 
 def test_vectorizable_flag():

@@ -8,24 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandmatch import (
-    PALETTE,
-    Embedding2D,
+    BrandMatchError,
     MalformedFileError,
     UnknownTargetError,
     emit_scatter_svg,
     parse_user_list,
 )
+from brandmatch.visualization import PALETTE
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _embedding(coords, labels=None, categories=None):
+    """The coordinates, labels and categories arguments of ``emit_scatter_svg``."""
     coords = np.asarray(coords, dtype=float)
     m = coords.shape[0]
     labels = tuple(labels) if labels else tuple(f"u{i}" for i in range(m))
-    return Embedding2D(coordinates=coords, row_labels=labels,
-                       categories=tuple(categories) if categories else None,
-                       stress=0.0)
+    return coords, labels, tuple(categories) if categories else (None,) * m
 
 
 def _elements(svg, tag, cls=None):
@@ -37,7 +36,7 @@ def _elements(svg, tag, cls=None):
 
 
 def test_single_point_no_target():
-    svg = emit_scatter_svg(_embedding([[0.0, 0.0]]), "one")
+    svg = emit_scatter_svg(*_embedding([[0.0, 0.0]]), "one")
     assert len(_elements(svg, "circle")) == 1
     assert len(_elements(svg, "text", "label")) == 1
     assert len(_elements(svg, "path")) == 0
@@ -49,7 +48,7 @@ def test_full_figure_structure():
     categories = [c for c in ("dogs", "cats", "mountains", "cars", "pizza")
                   for _ in range(5)] + ["target"]
     labels = [f"user{i:02d}" for i in range(25)] + ["brand"]
-    svg = emit_scatter_svg(_embedding(coords, labels, categories),
+    svg = emit_scatter_svg(*_embedding(coords, labels, categories),
                            "Target brand profile: brand", target_index=25)
     assert len(_elements(svg, "circle")) == 25
     assert len(_elements(svg, "path", "target")) == 1
@@ -61,7 +60,7 @@ def test_full_figure_structure():
 
 def test_every_row_once_with_matching_label():
     labels = ("alice", "bob", "carol")
-    svg = emit_scatter_svg(_embedding([[0, 0], [1, 0], [0, 1]], labels),
+    svg = emit_scatter_svg(*_embedding([[0, 0], [1, 0], [0, 1]], labels),
                            "t", target_index=1)
     assert len(_elements(svg, "circle")) == 2
     assert len(_elements(svg, "path", "target")) == 1
@@ -72,18 +71,18 @@ def test_translation_yields_identical_svg():
     # dyadic coordinates and shift keep the float arithmetic exact
     coords = np.array([[0.0, 0.25], [1.5, -2.75], [-0.5, 0.5]])
     shifted = coords + np.array([3.25, -1.5])
-    assert emit_scatter_svg(_embedding(coords), "t") == \
-        emit_scatter_svg(_embedding(shifted), "t")
+    assert emit_scatter_svg(*_embedding(coords), "t") == \
+        emit_scatter_svg(*_embedding(shifted), "t")
 
 
 def test_byte_identical_across_calls():
     rng = np.random.RandomState(11)
     embedding = _embedding(rng.rand(7, 2), categories=["a"] * 7)
-    assert emit_scatter_svg(embedding, "repeat") == emit_scatter_svg(embedding, "repeat")
+    assert emit_scatter_svg(*embedding, "repeat") == emit_scatter_svg(*embedding, "repeat")
 
 
 def test_output_is_well_formed_xml():
-    svg = emit_scatter_svg(_embedding([[0, 0], [1, 1]], labels=("a<b&c", 'd"e')),
+    svg = emit_scatter_svg(*_embedding([[0, 0], [1, 1]], labels=("a<b&c", 'd"e')),
                            "<&>")
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
@@ -109,8 +108,8 @@ def test_every_accepted_user_list_plots_as_well_formed_xml(lines, tmp_path_facto
     if not entries:
         return
     names = [name for name, _ in entries]
-    svg = emit_scatter_svg(_embedding([[i, i % 3] for i in range(len(entries))], names,
-                                      [category for _, category in entries]),
+    svg = emit_scatter_svg(*_embedding([[i, i % 3] for i in range(len(entries))], names,
+                                       [category for _, category in entries]),
                            f"Target brand profile: {names[0]}", target_index=0)
     root = ET.fromstring(svg.encode("utf-8"))
     assert [e.text for e in root.iter(f"{SVG_NS}text") if e.get("class") == "label"] == names
@@ -120,7 +119,7 @@ def test_colors_follow_category_order():
     # first appearance, not name order; the target row's category takes no color
     categories = ("brand", "zz", None, "aa", "zz", "brand")
     svg = emit_scatter_svg(
-        _embedding([[i, i % 2] for i in range(6)], categories=categories), "t",
+        *_embedding([[i, i % 2] for i in range(6)], categories=categories), "t",
         target_index=0)
     assert [c.get("fill") for c in _elements(svg, "circle")] == \
         ["#1f77b4", "#999999", "#ff7f0e", "#1f77b4", "#2ca02c"]
@@ -133,12 +132,12 @@ def test_colors_follow_category_order():
 def test_target_category_rows_share_the_star_only_when_it_is_drawn():
     categories = ("target", "aa", "bb", "target")
     coordinates = [[0, 0], [1, 2], [2, 1], [3, 3]]
-    starred = emit_scatter_svg(_embedding(coordinates, categories=categories), "t",
+    starred = emit_scatter_svg(*_embedding(coordinates, categories=categories), "t",
                                target_index=1)
     assert [c.get("fill") for c in _elements(starred, "circle")] == \
         ["#ffd700", "#1f77b4", "#ffd700"]
     assert [e.text for e in _elements(starred, "text", "legend")] == ["bb", "target"]
-    plain = emit_scatter_svg(_embedding(coordinates, categories=categories), "t")
+    plain = emit_scatter_svg(*_embedding(coordinates, categories=categories), "t")
     assert [c.get("fill") for c in _elements(plain, "circle")] == \
         ["#1f77b4", "#ff7f0e", "#2ca02c", "#1f77b4"]
     assert [e.text for e in _elements(plain, "text", "legend")] == ["target", "aa", "bb"]
@@ -146,32 +145,44 @@ def test_target_category_rows_share_the_star_only_when_it_is_drawn():
 
 def test_palette_wraps_after_ten_categories():
     categories = [f"c{i:02d}" for i in range(12)]
-    svg = emit_scatter_svg(_embedding([[i, i * i] for i in range(12)],
-                                      categories=categories), "t")
+    svg = emit_scatter_svg(*_embedding([[i, i * i] for i in range(12)],
+                                       categories=categories), "t")
     fills = [c.get("fill") for c in _elements(svg, "circle")]
     assert fills[:10] == list(PALETTE) and fills[10:] == list(PALETTE[:2])
     assert [e.text for e in _elements(svg, "text", "legend")] == categories
 
 
 def test_uncategorized_rows_drawn_neutral():
-    svg = emit_scatter_svg(_embedding([[0, 0], [1, 1]]), "t")
+    svg = emit_scatter_svg(*_embedding([[0, 0], [1, 1]]), "t")
     assert all(c.get("fill") == "#999999" for c in _elements(svg, "circle"))
 
 
 def test_target_index_out_of_range():
     with pytest.raises(UnknownTargetError, match="^target index 4 outside 0..0$"):
-        emit_scatter_svg(_embedding([[0, 0]]), "t", target_index=4)
+        emit_scatter_svg(*_embedding([[0, 0]]), "t", target_index=4)
+
+
+@pytest.mark.parametrize("labels, categories", [
+    (("a",), ("x", "y")),
+    (("a", "b", "c"), ("x", "y")),
+    (("a", "b"), ("x",)),
+    (("a", "b"), (None, None, None)),
+], ids=["fewer-labels", "more-labels", "fewer-categories", "more-categories"])
+def test_label_and_category_counts_must_match_the_rows(labels, categories):
+    message = f"^{len(labels)} labels, {len(categories)} categories for 2 rows$"
+    with pytest.raises(BrandMatchError, match=message):
+        emit_scatter_svg(np.zeros((2, 2)), labels, categories, "t")
 
 
 def test_viewport_size_cannot_be_asked_for():
     # the viewport is fixed at 900x900 px with a 60 px margin: none can be asked for
     with pytest.raises(TypeError):
-        emit_scatter_svg(_embedding([[0, 0]]), "t", width_px=100)
+        emit_scatter_svg(*_embedding([[0, 0]]), "t", width_px=100)
 
 
 def test_aspect_ratio_preserved():
     # x range 10 units, y range 1 unit: the same scale applies to both axes
-    svg = emit_scatter_svg(_embedding([[0, 0], [10, 0], [0, 1]]), "t")
+    svg = emit_scatter_svg(*_embedding([[0, 0], [10, 0], [0, 1]]), "t")
     circles = _elements(svg, "circle")
     xs = [float(c.get("cx")) for c in circles]
     ys = [float(c.get("cy")) for c in circles]
@@ -181,8 +192,8 @@ def test_aspect_ratio_preserved():
 
 
 def test_markup_characters_escaped():
-    svg = emit_scatter_svg(_embedding([[0.0, 0.0], [1.0, 1.0]], labels=["x&y", "z>w"],
-                                      categories=["a<b", "a<b"]), "R&D <pizza> &amp;")
+    svg = emit_scatter_svg(*_embedding([[0.0, 0.0], [1.0, 1.0]], labels=["x&y", "z>w"],
+                                       categories=["a<b", "a<b"]), "R&D <pizza> &amp;")
     assert ">R&amp;D &lt;pizza&gt; &amp;amp;</text>" in svg
     assert ">x&amp;y</text>" in svg and ">z&gt;w</text>" in svg
     assert ">a&lt;b</text>" in svg

@@ -208,21 +208,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_pipeline_arguments(parser: argparse.ArgumentParser, *, with_target: bool) -> None:
+def _add_pipeline_arguments(parser: argparse.ArgumentParser, *, builds_matrix: bool) -> None:
     parser.add_argument("--users", required=True, type=Path,
                         help="user list file (username[,category] per line)")
     parser.add_argument("--metadata", required=True, type=Path,
                         help="directory of <username>.json metadata files")
-    parser.add_argument("--target", required=with_target, default=None,
+    parser.add_argument("--target", required=builds_matrix, default=None,
                         help="target brand username")
     parser.add_argument("--top-k-tags", type=int, default=DEFAULT_TOP_K,
                         help="tags taken per image (default %(default)s)")
     parser.add_argument("--image-cap", type=int, default=DEFAULT_IMAGE_CAP,
                         help="images analyzed per profile (default %(default)s)")
-    parser.add_argument("--weighting", choices=["counts", "tfidf"], default="counts",
-                        help="matrix weighting (default %(default)s)")
-    parser.add_argument("--export-matrix", type=Path, default=None,
-                        help="write the document-term matrix as TSV")
+    if builds_matrix:
+        parser.add_argument("--weighting", choices=["counts", "tfidf"], default="counts",
+                            help="matrix weighting (default %(default)s)")
+        parser.add_argument("--export-matrix", type=Path, default=None,
+                            help="write the document-term matrix as TSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     validate = subparsers.add_parser("validate", help="check metadata files and report")
-    _add_pipeline_arguments(validate, with_target=False)
+    _add_pipeline_arguments(validate, builds_matrix=False)
     validate.set_defaults(run=cmd_validate)
 
     match = subparsers.add_parser("match", help="rank influencers nearest the target brand")
-    _add_pipeline_arguments(match, with_target=True)
+    _add_pipeline_arguments(match, builds_matrix=True)
     match.add_argument("--k", type=int, default=DEFAULT_K,
                        help="neighbors to report (default %(default)s)")
     match.add_argument("--output", type=Path, default=None,
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     match.set_defaults(run=cmd_match)
 
     embed = subparsers.add_parser("embed", help="2-D MDS embedding and SVG plot")
-    _add_pipeline_arguments(embed, with_target=True)
+    _add_pipeline_arguments(embed, builds_matrix=True)
     embed.add_argument("--embedding", type=Path, default=Path("embedding.tsv"),
                        help="embedding TSV path (default %(default)s)")
     embed.add_argument("--plot", type=Path, default=Path("plot.svg"),

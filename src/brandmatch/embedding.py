@@ -69,26 +69,19 @@ def _check_distance_matrix(distances: np.ndarray) -> np.ndarray:
 def _embedded_distances(coordinates: np.ndarray,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
     import numpy as np
-    # one m x m difference per coordinate column, folded in with hypot
-    columns = iter(coordinates.T)
-    first = next(columns, None)
-    if first is None:
-        return np.zeros((coordinates.shape[0],) * 2)
-    embedded = np.subtract(first[:, np.newaxis], first, out=out)
-    np.abs(embedded, out=embedded)
-    for column in columns:
-        np.hypot(embedded, column[:, np.newaxis] - column, out=embedded)
-    return embedded
+    x, y = coordinates.T
+    dx = np.subtract(x[:, np.newaxis], x, out=out)
+    return np.hypot(dx, y[:, np.newaxis] - y, out=dx)
 
 
 def stress(distances: np.ndarray, coordinates: np.ndarray) -> float:
-    """Raw stress: sum over i<j of squared (embedded minus input) distances."""
+    """Raw stress of m x 2 coordinates: sum over i<j of squared (embedded - input) distances."""
     import numpy as np
     d = np.asarray(distances, dtype=np.float64)
     x = np.asarray(coordinates, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise BrandMatchError(f"distance matrix must be square, got {d.shape}")
-    if x.ndim != 2 or x.shape[0] != d.shape[0]:
+    if x.shape != (d.shape[0], 2):
         raise BrandMatchError(f"coordinates {x.shape} inconsistent with distances {d.shape}")
     return _raw_stress(d, _embedded_distances(x))
 

@@ -20,11 +20,10 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from .errors import MalformedFileError, MissingProfileFileError, UnknownTargetError
+from .visualization import _NOT_IN_XML
 
 MAX_TAGS_PER_POST = 5
 DEFAULT_IMAGE_CAP = 50
-# characters XML 1.0 forbids (NUL too); usernames and categories label the SVG plot
-_NOT_IN_XML = frozenset(map(chr, (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)))
 # line breaks XML allows; a user-list line ends only at LF, CR or CRLF
 _LINE_BREAKS = frozenset("\x85\u2028\u2029")
 
@@ -121,33 +120,28 @@ def _parse_caption(raw: object) -> Optional[str]:
     return text
 
 
-def apply_image_cap(profile: Profile, image_cap: Optional[int]) -> Profile:
+def apply_image_cap(profile: Profile, image_cap: int) -> Profile:
     """Drop video posts and keep the first ``image_cap`` remaining posts.
 
-    ``None`` disables both the filter and the cap (the profile is returned
-    unchanged). First-listed posts are the most recent ones upstream, so the
-    cap keeps the newest media.
+    First-listed posts are the most recent ones upstream, so the cap keeps the
+    newest media.
     """
-    if image_cap is None:
-        return profile
     if image_cap < 1:
         raise ValueError("image_cap must be a positive integer")
     kept = tuple(p for p in profile.posts if not p.is_video)[:image_cap]
     return replace(profile, posts=kept)
 
 
-def load_profile(path: str | Path, username: str,
-                 image_cap: Optional[int] = None) -> Profile:
-    """Parse one metadata file into a Profile, preserving file order of posts.
+def load_profile(path: str | Path, username: str) -> Profile:
+    """Parse one metadata file into a Profile holding every post, videos too, in file order.
 
-    Every post is checked, including those the cap drops; the result equals
-    ``apply_image_cap(load_profile(path, username), image_cap)``. Raises
-    ValueError for an ``image_cap`` below 1, MissingProfileFileError when
-    ``path`` is not a file, and MalformedFileError for any break of the format,
-    tag labels and scores of different lengths included. Unknown keys are ignored.
+    ``apply_image_cap`` keeps what a capped load would. Raises
+    MissingProfileFileError when ``path`` is not a file, and MalformedFileError
+    for any break of the format, tag labels and scores of different lengths
+    included. Unknown keys are ignored.
     """
     with _collector_paused():
-        return _build_profile(username, _read_posts(Path(path), username, image_cap, {}))
+        return _build_profile(username, _read_posts(Path(path), username, None, {}))
 
 
 @contextmanager
@@ -178,8 +172,6 @@ def _read_posts(path: Path, username: str, image_cap: Optional[int],
     live as long as the process does.
     """
     shared = strings.setdefault
-    if image_cap is not None and image_cap < 1:
-        raise ValueError("image_cap must be a positive integer")
     try:
         with path.open("r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -333,9 +325,12 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
     """Load every listed profile from ``metadata_dir`` in user-list order.
 
     The optional per-line category annotates each profile for plotting.
-    ``image_cap`` defaults to the upstream pipeline's 50-image analysis window.
-    A target missing from the list raises UnknownTargetError before any file is loaded.
+    ``image_cap`` defaults to the upstream pipeline's 50-image analysis window, and
+    ``None`` keeps every post. An ``image_cap`` below 1 raises ValueError before the list
+    is read, and a target missing from it UnknownTargetError before any file is loaded.
     """
+    if image_cap is not None and image_cap < 1:
+        raise ValueError("image_cap must be a positive integer")
     entries = parse_user_list(user_list_path)
     usernames = [username for username, _ in entries]
     if target_username is not None and target_username not in usernames:

@@ -22,6 +22,8 @@ PALETTE = (
 )
 TARGET_COLOR = "#ffd700"
 UNCATEGORIZED_COLOR = "#999999"
+# characters XML 1.0 forbids (NUL too), which no label, category or title may hold
+_NOT_IN_XML = frozenset(map(chr, (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)))
 
 _POINT_RADIUS = 6.0
 _STAR_OUTER = 10.0
@@ -84,12 +86,19 @@ def emit_scatter_svg(coordinates: np.ndarray, labels: Sequence[str],
     Categories take palette colors in order of first appearance, skipping the
     target row; the legend lists them in that order, then the target. When the
     star is drawn, other rows of category ``target`` share its gold and its legend row.
+    A text holding a character XML 1.0 forbids raises BrandMatchError naming its row.
     """
     m = coordinates.shape[0]
     if m < 1:
         raise ValueError("embedding has no rows")
     if len(labels) != m or len(categories) != m:
         raise BrandMatchError(f"{len(labels)} labels, {len(categories)} categories for {m} rows")
+    if not _NOT_IN_XML.isdisjoint(title):
+        raise BrandMatchError(f"title {title!r} holds a character XML 1.0 forbids")
+    for i, (label, category) in enumerate(zip(labels, categories)):
+        if not _NOT_IN_XML.isdisjoint(label + (category or "")):
+            raise BrandMatchError(f"row {i}: label {label!r} or category {category!r} "
+                                  "holds a character XML 1.0 forbids")
     if target_index is not None and not 0 <= target_index < m:
         raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
     colors: dict[str, str] = {}

@@ -274,11 +274,11 @@ def test_criterion_7_schema_conformance(tmp_path):
     for profile in profiles:
         path = tmp_path / f"{profile.username}.json"
         save_profile(profile, path)
-        loaded = load_profile(path, profile.username, image_cap=None)
+        loaded = load_profile(path, profile.username)
         rewritten = tmp_path / f"again_{profile.username}.json"
         save_profile(loaded, rewritten)
         assert rewritten.read_bytes() == path.read_bytes()
-        assert load_profile(rewritten, profile.username, image_cap=None) == loaded
+        assert load_profile(rewritten, profile.username) == loaded
 
     assert len(CORRUPTED_FILES) >= 10
     for name, payload, expected_error, *message in CORRUPTED_FILES:

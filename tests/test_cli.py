@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import builtins
 import functools
 import gc
@@ -768,6 +769,28 @@ def test_every_public_name_resolves_once():
     assert len(set(brandmatch.__all__)) == len(brandmatch.__all__) == 34
     for name in brandmatch.__all__:
         assert hasattr(brandmatch, name), name
+
+
+def test_each_command_takes_only_its_flags(fixture_dir, tmp_path, capsys):
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    inputs = ["-h", "--help", "--users", "--metadata", "--target", "--top-k-tags",
+              "--image-cap"]
+    matrix = [*inputs, "--weighting", "--export-matrix"]
+    assert {name: [option for action in parser._actions for option in action.option_strings]
+            for name, parser in commands.items()} == {
+        "validate": inputs,
+        "match": [*matrix, "--k", "--output"],
+        "embed": [*matrix, "--embedding", "--plot"],
+        "synth": ["-h", "--help", "--out", "--seed", "--users-per-category",
+                  "--posts-per-user", "--noise", "--brand", "--brand-name"]}
+    # validate builds no matrix, so it rejects the matrix's flags instead of ignoring them
+    for flag, value in (("--weighting", "tfidf"), ("--export-matrix", str(tmp_path / "m.tsv"))):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", *_pipeline_args(fixture_dir, flag, value)])
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert not (tmp_path / "m.tsv").exists()
 
 
 @pytest.mark.parametrize("flag, message", [

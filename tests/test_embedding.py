@@ -378,17 +378,18 @@ def test_smacof_warns_when_max_iter_reached():
         smacof_refine(d, initial)
 
 
-def test_stress_accepts_any_number_of_columns():
+def test_stress_scores_only_two_columns():
     rng = np.random.RandomState(83)
     d = pairwise_distances(rng.rand(6, 4))
-    for columns in (1, 2, 3, 5):
-        pts = rng.rand(6, columns)
-        embedded = np.sqrt(((pts[:, np.newaxis, :] - pts[np.newaxis, :, :]) ** 2).sum(axis=2))
-        i, j = np.triu_indices(6, k=1)
-        expected = float(((embedded[i, j] - d[i, j]) ** 2).sum())
-        assert stress(d, pts) == pytest.approx(expected, rel=1e-12)
-    assert stress(d, np.zeros((6, 0))) == pytest.approx(float((np.triu(d) ** 2).sum()),
-                                                         rel=1e-12)
+    pts = rng.rand(6, 2)
+    embedded = np.sqrt(((pts[:, np.newaxis, :] - pts[np.newaxis, :, :]) ** 2).sum(axis=2))
+    i, j = np.triu_indices(6, k=1)
+    expected = float(((embedded[i, j] - d[i, j]) ** 2).sum())
+    assert stress(d, pts) == pytest.approx(expected, rel=1e-12)
+    for columns in (0, 1, 3):
+        with pytest.raises(BrandMatchError, match=rf"^coordinates \(6, {columns}\) "
+                                                  r"inconsistent with distances \(6, 6\)$"):
+            stress(d, rng.rand(6, columns))
 
 
 def test_smacof_input_validation():

@@ -153,13 +153,19 @@ def test_image_cap_filters_videos_then_truncates():
     profile = Profile(username="u", posts=tuple(posts))
     capped = apply_image_cap(profile, 2)
     assert [p.id for p in capped.posts] == ["a", "b"]
-    assert apply_image_cap(profile, None) is profile
+    assert [p.id for p in apply_image_cap(profile, 5).posts] == ["a", "b", "c"]
+
+
+def _capped_load(directory, username, image_cap):
+    """Load ``username`` through ``load_profile_set`` on a one-line user list."""
+    users = write_user_list(directory, [username])
+    return load_profile_set(users, directory, image_cap=image_cap).profiles[0]
 
 
 def test_load_respects_image_cap(tmp_path):
     posts = [video_post()] + [image_post([f"tag{i}"], [0.5]) for i in range(4)]
     write_profile_file(tmp_path, "u", posts)
-    profile = load_profile(tmp_path / "u.json", "u", image_cap=2)
+    profile = _capped_load(tmp_path, "u", 2)
     assert len(profile.posts) == 2
     assert all(not p.is_video for p in profile.posts)
 
@@ -169,7 +175,7 @@ def test_malformed_post_after_the_cap_still_raises(tmp_path, capsys):
     posts[180]["image_scores"] = [1.5]
     write_profile_file(tmp_path, "u", posts)
     with pytest.raises(MalformedFileError) as excinfo:
-        load_profile(tmp_path / "u.json", "u", image_cap=50)
+        _capped_load(tmp_path, "u", 50)
     assert str(excinfo.value) == "u: post 180: confidence 1.5 outside [0, 1]"
 
     write_profile_file(tmp_path, "brand", [image_post(["tag1"], [0.9])])
@@ -188,9 +194,9 @@ def test_capped_load_equals_cap_applied_to_full_load(tmp_path):
     full = load_profile(tmp_path / "u.json", "u")
     assert len(full.posts) == len(posts)
     for image_cap in (1, 3, len(posts) + 1):
-        capped = load_profile(tmp_path / "u.json", "u", image_cap=image_cap)
+        capped = _capped_load(tmp_path, "u", image_cap)
         assert capped == apply_image_cap(full, image_cap)
-    assert len(load_profile(tmp_path / "u.json", "u", image_cap=3).posts) == 3
+    assert len(_capped_load(tmp_path, "u", 3).posts) == 3
 
 
 def test_load_restores_the_cyclic_collector_state(tmp_path):
@@ -200,7 +206,7 @@ def test_load_restores_the_cyclic_collector_state(tmp_path):
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            load_profile(tmp_path / "good.json", "good", image_cap=1)
+            load_profile(tmp_path / "good.json", "good")
             assert gc.isenabled() is enabled
             with pytest.raises(MalformedFileError):
                 load_profile(tmp_path / "bad.json", "bad")
@@ -215,11 +221,16 @@ def test_load_restores_the_cyclic_collector_state(tmp_path):
 def test_image_cap_below_one_rejected(tmp_path):
     write_profile_file(tmp_path, "u", [image_post(["dog"], [0.9])])
     users = write_user_list(tmp_path, ["u"])
+    profile = load_profile(tmp_path / "u.json", "u")
+    empty = write_user_list(tmp_path, [], name="empty.txt")
     for image_cap in (0, -1):
         with pytest.raises(ValueError, match="image_cap must be a positive integer"):
-            load_profile(tmp_path / "u.json", "u", image_cap=image_cap)
-        with pytest.raises(ValueError, match="image_cap must be a positive integer"):
-            load_profile_set(users, tmp_path, image_cap=image_cap)
+            apply_image_cap(profile, image_cap)
+        # checked before the user list is read, so an empty or missing list makes no difference
+        for user_list, metadata in ((users, tmp_path), (empty, tmp_path / "nowhere"),
+                                    (tmp_path / "missing.txt", tmp_path / "nowhere")):
+            with pytest.raises(ValueError, match="image_cap must be a positive integer"):
+                load_profile_set(user_list, metadata, image_cap=image_cap)
 
 
 _json_values = st.recursive(
@@ -265,14 +276,15 @@ def test_any_json_value_loads_or_raises_a_package_error(property_dir, value, ima
     path = property_dir / "u.json"
     path.write_text(json.dumps(value), encoding="utf-8")
     try:
-        profile = load_profile(path, "u", image_cap=image_cap)
+        profile = _capped_load(property_dir, "u", image_cap)
     except BrandMatchError as capped:
         # posts the cap drops are checked all the same: the uncapped load fails alike
         with pytest.raises(BrandMatchError) as uncapped:
             load_profile(path, "u")
         assert (type(uncapped.value), str(uncapped.value)) == (type(capped), str(capped))
         return
-    assert profile == apply_image_cap(load_profile(path, "u"), image_cap)
+    full = load_profile(path, "u")
+    assert profile == (full if image_cap is None else apply_image_cap(full, image_cap))
 
 
 def test_user_list_parsing(tmp_path):

@@ -87,6 +87,9 @@ def test_output_is_well_formed_xml():
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.get("version") == "1.1"
+    # tab, LF, CR and the line breaks XML allows are not among the characters it forbids
+    svg = emit_scatter_svg(np.zeros((2, 2)), ("a\tb", "c\n\r"), ("d\x85", "\u2028"), "\u2029")
+    assert [e.text for e in _elements(svg, "text", "legend")] == ["d\x85", "\u2028"]
 
 
 # control characters and U+FFFE/U+FFFF often, so the XML 1.0 rule is exercised
@@ -172,6 +175,19 @@ def test_label_and_category_counts_must_match_the_rows(labels, categories):
     message = f"^{len(labels)} labels, {len(categories)} categories for 2 rows$"
     with pytest.raises(BrandMatchError, match=message):
         emit_scatter_svg(np.zeros((2, 2)), labels, categories, "t")
+
+
+@pytest.mark.parametrize("labels, categories, title, message", [
+    (("a\x01b", "c"), ("dogs\x0c", None), "title\x02",
+     r"^title 'title\\x02' holds"),
+    (("a\x01b", "c"), ("dogs\x0c", None), "t",
+     r"^row 0: label 'a\\x01b' or category 'dogs\\x0c' holds"),
+    (("a", "c"), (None, "dogs\ufffe"), "t", r"^row 1: label 'c' or category 'dogs\\ufffe' holds"),
+    (("a", "c\x00"), (None, None), "t", r"^row 1: label 'c\\x00' or category None holds"),
+], ids=["title", "label", "category", "nul"])
+def test_texts_xml_forbids_are_rejected_naming_the_row(labels, categories, title, message):
+    with pytest.raises(BrandMatchError, match=message + " a character XML 1.0 forbids$"):
+        emit_scatter_svg(np.zeros((2, 2)), labels, categories, title)
 
 
 def test_viewport_size_cannot_be_asked_for():

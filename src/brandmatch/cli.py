@@ -8,6 +8,7 @@ are listed in FORMATS.md so shell pipelines can branch on failures.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 from pathlib import Path
@@ -60,8 +61,15 @@ def _load_documents(args: argparse.Namespace) -> tuple[list[ContentDocument], in
     """Each profile's document, the target's row and each row's category; the profiles die here."""
     profile_set = load_profile_set(args.users, args.metadata, target_username=args.target,
                                    image_cap=args.image_cap)
-    return ([synthesize_document(p, top_k=args.top_k_tags) for p in profile_set.profiles],
-            profile_set.target_index, tuple(p.category for p in profile_set.profiles))
+    documents = [synthesize_document(p, top_k=args.top_k_tags) for p in profile_set.profiles]
+    target_index = profile_set.target_index
+    categories = tuple(p.category for p in profile_set.profiles)
+    del profile_set
+    # The records were built with the collector paused. Freed, their tuples and floats
+    # stay on CPython's free lists, which keep whole memory arenas in use; only a full
+    # collection empties those lists, so the arenas go back to the OS before numpy loads.
+    gc.collect()
+    return documents, target_index, categories
 
 
 def _build_matrix(args: argparse.Namespace) -> tuple[DocTermMatrix, int, tuple, _Outputs]:

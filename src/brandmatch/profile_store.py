@@ -17,7 +17,7 @@ import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterator, Optional
 
 from .errors import MalformedFileError, MissingProfileFileError, UnknownTargetError
 from .visualization import _NOT_IN_XML
@@ -141,7 +141,7 @@ def load_profile(path: str | Path, username: str) -> Profile:
     included. Unknown keys are ignored.
     """
     with _collector_paused():
-        return _build_profile(username, _read_posts(Path(path), username, None, {}))
+        return _build_profile(username, _read_posts(Path(path), username, None), None, {})
 
 
 @contextmanager
@@ -156,22 +156,27 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _build_profile(username: str, rows: list, category: Optional[str] = None) -> Profile:
-    posts = [Post(post_id, tuple([TagPrediction(label, score) for label, score in tags]),
-                  likes, comments, caption, hashtags, is_video)
+def _build_profile(username: str, rows: list, category: Optional[str],
+                   strings: dict[str, str]) -> Profile:
+    """A Profile from ``_read_posts`` rows; tag labels and hashtags are looked up in ``strings``.
+
+    ``strings`` is a dict owned by the load, so each distinct label and hashtag is stored
+    once, also across profiles that a forked child sent in frames of their own. Not
+    ``sys.intern``: interned strings live as long as the process does.
+    """
+    shared = strings.setdefault
+    posts = [Post(post_id, tuple([TagPrediction(shared(label, label), score)
+                                  for label, score in tags]),
+                  likes, comments, caption, tuple(map(shared, hashtags, hashtags)), is_video)
              for post_id, tags, likes, comments, caption, hashtags, is_video in rows]
     return Profile(username, tuple(posts), category)
 
 
-def _read_posts(path: Path, username: str, image_cap: Optional[int],
-                strings: dict[str, str]) -> list[tuple]:
+def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tuple]:
     """Decode and check one file; each kept post as ``Post``'s fields, tags as pairs.
 
-    Kept tag labels and hashtags are looked up in ``strings``, a dict owned by the
-    load, so each distinct one is stored once. Not ``sys.intern``: interned strings
-    live as long as the process does.
+    The tags and hashtags stay lists: ``_build_profile`` makes the tuples.
     """
-    shared = strings.setdefault
     try:
         with path.open("r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -233,7 +238,7 @@ def _read_posts(path: Path, username: str, image_cap: Optional[int],
                     confidence = float(score)
                     _check_tag(label, confidence)
                     if keep:
-                        predictions.append((shared(label, label), confidence))
+                        predictions.append((label, confidence))
                 if scores != sorted(scores, reverse=True):
                     raise MalformedFileError("image_scores not sorted non-increasing")
 
@@ -244,8 +249,8 @@ def _read_posts(path: Path, username: str, image_cap: Optional[int],
             caption = _parse_caption(raw.get("edge_media_to_caption"))
             if keep:
                 posts.append((urls[0].rsplit("/", 1)[-1] if urls else f"post-{i}",
-                              tuple(predictions), like_count, comment_count, caption,
-                              tuple(shared(tag, tag) for tag in hashtags), is_video))
+                              predictions, like_count, comment_count, caption, hashtags,
+                              is_video))
     # ValueError from _check_tag, OverflowError from float() of a huge int
     except (MalformedFileError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{username}: post {i}: {exc}") from None
@@ -268,7 +273,7 @@ def check_username(username: str) -> None:
 
 def _check_plot_label(kind: str, text: str) -> None:
     """Raise ValueError if ``text`` holds a character XML 1.0 forbids or a line break."""
-    if not _NOT_IN_XML.isdisjoint(text):
+    if _NOT_IN_XML.search(text):
         raise ValueError(f"invalid {kind} {text!r}: "
                          "it must not contain a character XML 1.0 forbids")
     if not _LINE_BREAKS.isdisjoint(text):
@@ -328,6 +333,10 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
     ``image_cap`` defaults to the upstream pipeline's 50-image analysis window, and
     ``None`` keeps every post. An ``image_cap`` below 1 raises ValueError before the list
     is read, and a target missing from it UnknownTargetError before any file is loaded.
+
+    With two usable CPUs a forked child reads the second half of the list and sends its
+    profiles back one at a time; if it dies partway, this process reads only the
+    profiles it did not send.
     """
     if image_cap is not None and image_cap < 1:
         raise ValueError("image_cap must be a positive integer")
@@ -336,11 +345,11 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
     if target_username is not None and target_username not in usernames:
         raise UnknownTargetError(f"target {target_username!r} not in user list")
     metadata_dir = Path(metadata_dir)
-    strings: dict[str, str] = {}  # a forked child fills its own copy
+    strings: dict[str, str] = {}
     with _collector_paused():
         rows = _map_in_two_processes(lambda entry: _read_posts(
-            metadata_dir / f"{entry[0]}.json", entry[0], image_cap, strings), entries)
-        profiles = tuple(_build_profile(username, posts, category)
+            metadata_dir / f"{entry[0]}.json", entry[0], image_cap), entries)
+        profiles = tuple(_build_profile(username, posts, category, strings)
                          for posts, (username, category) in zip(rows, entries))
     return ProfileSet(profiles, None if target_username is None
                       else usernames.index(target_username))
@@ -357,10 +366,11 @@ def _thread_count() -> int:
 def _map_in_two_processes(function: Callable, items: list) -> Iterator:
     """Yield ``function(item)`` for every item in order; a forked child computes the second half.
 
-    The child's values come back through a pipe as ``marshal`` bytes, so they must be
-    builtins. It stops at its first exception, and this process runs that item and the
-    rest, so errors are raised here in item order. With one usable core, or another
-    thread running, this is a plain loop."""
+    The child's values come back through a pipe as ``marshal`` frames, one per value, so
+    they must be builtins. It stops at its first exception, and this process runs that
+    item and the rest, so errors are raised here in item order. A stream cut short (the
+    child died) costs only the values it lacks: this process computes those. With one
+    usable core, or another thread running, this is a plain loop."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if len(items) < 2 or (cpus or 1) < 2 or not hasattr(os, "fork") or _thread_count() > 1:
         yield from map(function, items)
@@ -371,32 +381,47 @@ def _map_in_two_processes(function: Callable, items: list) -> Iterator:
         pid = os.fork()
     if pid == 0:
         try:
-            values = []
+            frames = []
             with suppress(Exception):  # the parent runs the failing item again
                 for item in items[half:]:
-                    values.append(function(item))
+                    frame = marshal.dumps(function(item))
+                    frames += (len(frame).to_bytes(8, "little"), frame)
+            # written only once the half is done, so the child never waits on a full pipe
+            # while this process reads its own half
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(values))
+                pipe.writelines(frames)
         finally:
             os._exit(0)
     os.close(write_end)
-    data = None
+    received, stopped = 0, True
     try:
         with open(read_end, "rb") as pipe:
             yield from map(function, items[:half])
-            data = pipe.read()
+            for value in _read_frames(pipe):
+                received += 1
+                yield value
+            stopped = False
     finally:
-        if pid and data is None:  # this half raised, or the caller stopped early
+        if pid and stopped:  # this half raised, or the caller stopped early
             import signal
             os.kill(pid, signal.SIGKILL)
         if pid:
             os.waitpid(pid, 0)
-    try:
-        values = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):
-        values = []  # no child, or it died before it sent its values
-    yield from values
-    yield from map(function, items[half + len(values):])
+    yield from map(function, items[half + received:])
+
+
+def _read_frames(pipe: BinaryIO) -> Iterator:
+    """Unmarshal length-prefixed frames until the stream ends or one is cut short."""
+    while len(header := pipe.read(8)) == 8:
+        size = int.from_bytes(header, "little")
+        frame = pipe.read(size)
+        if len(frame) < size:
+            return
+        try:
+            value = marshal.loads(frame)
+        except (EOFError, ValueError, TypeError):
+            return
+        yield value
 
 
 def save_profile(profile: Profile, path: str | Path) -> None:

@@ -8,6 +8,7 @@ of the inputs: the same inputs give a byte-identical SVG.
 from __future__ import annotations
 
 import math
+import re
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BrandMatchError, UnknownTargetError
@@ -22,8 +23,10 @@ PALETTE = (
 )
 TARGET_COLOR = "#ffd700"
 UNCATEGORIZED_COLOR = "#999999"
-# characters XML 1.0 forbids (NUL too), which no label, category or title may hold
-_NOT_IN_XML = frozenset(map(chr, (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)))
+# characters XML 1.0 forbids (NUL and lone surrogates too), which no label, category or
+# title may hold; a lone surrogate cannot be written as UTF-8 either. A pattern, not a
+# set: a set of the 2048 surrogates would hold a string object for each.
+_NOT_IN_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 _POINT_RADIUS = 6.0
 _STAR_OUTER = 10.0
@@ -93,10 +96,10 @@ def emit_scatter_svg(coordinates: np.ndarray, labels: Sequence[str],
         raise ValueError("embedding has no rows")
     if len(labels) != m or len(categories) != m:
         raise BrandMatchError(f"{len(labels)} labels, {len(categories)} categories for {m} rows")
-    if not _NOT_IN_XML.isdisjoint(title):
+    if _NOT_IN_XML.search(title):
         raise BrandMatchError(f"title {title!r} holds a character XML 1.0 forbids")
     for i, (label, category) in enumerate(zip(labels, categories)):
-        if not _NOT_IN_XML.isdisjoint(label + (category or "")):
+        if _NOT_IN_XML.search(label + (category or "")):
             raise BrandMatchError(f"row {i}: label {label!r} or category {category!r} "
                                   "holds a character XML 1.0 forbids")
     if target_index is not None and not 0 <= target_index < m:

@@ -598,8 +598,10 @@ def test_user_list_rejects_names_outside_the_metadata_directory(username, tmp_pa
             f"error: user list {users} line 3: invalid username {username!r}")
 
 
+# a lone surrogate: what Python makes of a byte of a command line that is not UTF-8
 @pytest.mark.parametrize("brand_name", ["../escaped", "a/b", "..", "tab\there",
-                                        *(f"bad{c}name" for c in WITHIN_A_LINE)])
+                                        *(f"bad{c}name" for c in WITHIN_A_LINE),
+                                        "ab\udcff", "bad\ud800name", "bad\udfffname"])
 def test_synth_brand_name_must_be_a_username(brand_name, tmp_path, capsys):
     out = tmp_path / "fixture"
     code = main(["synth", "--out", str(out), "--brand", "dogs", "--brand-name", brand_name])

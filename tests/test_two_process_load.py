@@ -7,6 +7,7 @@ the user list. These tests run every loader both ways: forced through the fork
 
 from __future__ import annotations
 
+import marshal
 import os
 import pickle
 import struct
@@ -160,6 +161,49 @@ def test_this_process_computes_only_the_first_half(forced):
     assert calls == [0, 1, 2, 3]
 
 
+class _CutPipe:
+    """The child's end of the pipe: it sends only the first ``size`` bytes it is given."""
+
+    def __init__(self, fd, size):
+        self.fd, self.size, self.data = fd, size, b""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        os.write(self.fd, self.data[:self.size])
+        os.close(self.fd)
+
+    def write(self, data):
+        self.data += data
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+# frames 4, 5 and 6 are the child's; each is an 8-byte length and the value's marshal
+@pytest.mark.parametrize("sent, cut", [(0, 0), (1, 0), (2, 0), (3, 0), (0, 3), (1, 5),
+                                       (2, 8), (2, 10)],
+                         ids=["none", "one", "two", "all", "part-of-a-length",
+                              "one-and-part-of-a-length", "two-and-a-length",
+                              "two-and-part-of-a-value"])
+def test_a_cut_stream_costs_only_the_missing_items(sent, cut, forced, monkeypatch):
+    forced("fork")
+    items = list(range(7))
+    size = sum(8 + len(marshal.dumps(item * 2.5)) for item in items[4:4 + sent]) + cut
+    real_open = open
+    monkeypatch.setattr(profile_store, "open", lambda fd, mode: (
+        _CutPipe(fd, size) if mode == "wb" else real_open(fd, mode)), raising=False)
+    calls = []  # the child's calls land in the child's copy
+    values = list(profile_store._map_in_two_processes(
+        lambda item: calls.append(item) or item * 2.5, items))
+    assert values == [item * 2.5 for item in items]
+    assert calls == [0, 1, 2, 3, *items[4 + sent:]]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("defect_at", [None, 0, 4])
 def test_no_child_is_left_after_a_load(defect_at, tmp_path, forced):
     users = _write_case(tmp_path, 5, "missing file" if defect_at is not None else None,
@@ -173,13 +217,14 @@ def test_no_child_is_left_after_a_load(defect_at, tmp_path, forced):
 
 
 def test_a_caller_that_stops_early_leaves_no_child(forced):
-    forks = forced("fork")
-    values = profile_store._map_in_two_processes(lambda item: item, list(range(6)))
-    assert next(values) == 0
-    values.close()
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for taken in (1, 5):  # a value of this process's half, then one of the child's
+        forks = forced("fork")
+        values = profile_store._map_in_two_processes(lambda item: item, list(range(6)))
+        assert [next(values) for _ in range(taken)] == list(range(taken))
+        values.close()
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_failed_fork_falls_back_to_one_process(tmp_path, forced, monkeypatch):
@@ -278,6 +323,8 @@ def test_equal_strings_within_a_loaded_half_are_one_object(path, tmp_path, force
     # the forked child reads user3 and user4 with its own copy of the strings
     for half in ((profiles[:3], profiles[3:]) if path == "fork" else (profiles,)):
         assert _objects_per_string(half) == {"dog": 1, "cat": 1, "#pet": 1, "#dog": 1}
+    # the child's strings come back one frame at a time and are shared again here
+    assert _objects_per_string(profiles) == {"dog": 1, "cat": 1, "#pet": 1, "#dog": 1}
 
 
 def _usable_cpus():

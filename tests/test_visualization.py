@@ -184,7 +184,12 @@ def test_label_and_category_counts_must_match_the_rows(labels, categories):
      r"^row 0: label 'a\\x01b' or category 'dogs\\x0c' holds"),
     (("a", "c"), (None, "dogs\ufffe"), "t", r"^row 1: label 'c' or category 'dogs\\ufffe' holds"),
     (("a", "c\x00"), (None, None), "t", r"^row 1: label 'c\\x00' or category None holds"),
-], ids=["title", "label", "category", "nul"])
+    (("a", "c"), (None, None), "t\udcff", r"^title 't\\udcff' holds"),
+    (("a\ud800", "c"), (None, None), "t", r"^row 0: label 'a\\ud800' or category None holds"),
+    (("a", "c"), (None, "dogs\udfff"), "t",
+     r"^row 1: label 'c' or category 'dogs\\udfff' holds"),
+], ids=["title", "label", "category", "nul", "surrogate-title", "surrogate-label",
+        "surrogate-category"])
 def test_texts_xml_forbids_are_rejected_naming_the_row(labels, categories, title, message):
     with pytest.raises(BrandMatchError, match=message + " a character XML 1.0 forbids$"):
         emit_scatter_svg(np.zeros((2, 2)), labels, categories, title)

@@ -95,15 +95,17 @@ def _check_flag_values(args: argparse.Namespace) -> None:
 
 
 def _write_outputs(outputs: _Outputs) -> None:
-    """Write every rendered output; if one write fails, remove those already written."""
-    written: list[Path] = []
+    """Write every rendered output; if one write fails, remove every file it opened."""
+    opened: list[Path] = []
     try:
         for path, text in outputs:
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
+            with open(path, "w", encoding="utf-8") as file:
+                opened.append(path)
+                file.write(text)
     except OSError:
-        # a failed run leaves no part of its output behind
-        for path in written:
+        # a failed run leaves no part of its output behind; a path whose open
+        # failed (a directory, a read-only file) was never written, so it stays
+        for path in opened:
             path.unlink(missing_ok=True)
         raise
 
@@ -141,7 +143,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         elif empty_target:
             print(f"{args.target}\tERROR: target has no classifiable media")
             error_count += 1
-    if warning_count and not ok_count:
+    if not ok_count and (warning_count or not usernames):
         print("ERROR: no profile has classifiable media; nothing to match on")
         error_count += 1
 
@@ -177,7 +179,7 @@ def cmd_embed_and_plot(args: argparse.Namespace) -> int:
     distances = pairwise_distances(matrix.values)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        refined = smacof_refine(distances, classical_mds(distances, points=matrix.values))
+        refined = smacof_refine(distances, classical_mds(points=matrix.values))
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
 

@@ -1,25 +1,23 @@
 """2-D embedding of the profile space: classical MDS refined by SMACOF.
 
-Classical (Torgerson) scaling double-centers the squared distances,
-``B = -1/2 * J * D^2 * J`` with ``J = I - (1/m) * 1 * 1^T``, and reads
-coordinates off the top two eigenpairs of B. SMACOF then iterates the
-Guttman transform ``X <- (1/m) * B(X) * X``, which never increases the raw
-stress ``sigma = sum_{i<j} (dhat_ij - delta_ij)^2``. With
-``R = delta / dhat`` (0 where ``dhat = 0``), ``B(X) = diag(rowsum(R)) - R``,
-so the update is computed as ``(1/m) * (rowsum(R) * X - R * X)`` and B is
-never built.
+Classical (Torgerson) scaling reads coordinates off the top two eigenpairs of
+``B = Xc * Xc^T``, the inner products of the column-centred m x V rows Xc
+(for Euclidean distances between the rows, Torgerson's double-centred
+squared distances ``-1/2 * J * D^2 * J``).
+SMACOF then iterates the Guttman transform ``X <- (1/m) * B(X) * X``, which
+never increases the raw stress ``sigma = sum_{i<j} (dhat_ij - delta_ij)^2``.
+With ``R = delta / dhat`` (0 where ``dhat = 0``), ``B(X) = diag(rowsum(R)) -
+R``, so the update is computed as ``(1/m) * (rowsum(R) * X - R * X)`` and B(X)
+is never built.
 
-When the distances are Euclidean distances between the rows of an m x V
-matrix X, ``B = Xc * Xc^T`` with Xc the column-centred X, and B shares its
-nonzero eigenvalues with the V x V matrix ``Xc^T * Xc`` (the MDS/PCA
-duality, Gower 1966): for an eigenpair ``(lambda, w)`` of the latter,
-``Xc * w`` is the B eigenvector scaled by ``sqrt(lambda)``, i.e. a finished
-coordinate column. Equal columns of Xc add nothing to the rank: k copies of a
-column c contribute ``k * c * c^T`` to ``Xc * Xc^T``, as one column
-``sqrt(k) * c`` does. So ``classical_mds`` first merges equal centred
-columns that way, and takes the V' x V' path (V' distinct columns) when it
-is given the points and V' < m; otherwise it double-centres the m x m
-distances.
+Equal columns of Xc add nothing to the rank: k copies of a column c
+contribute ``k * c * c^T`` to B, as one column ``sqrt(k) * c`` does. So
+``classical_mds`` merges equal centred columns that way into an m x V' matrix
+M with ``M * M^T = B``, and solves the smaller Gram matrix of M. When V' < m
+that is the V' x V' ``M^T * M``, which shares its nonzero eigenvalues with B
+(the MDS/PCA duality, Gower 1966): for an eigenpair ``(lambda, w)`` of it,
+``M * w`` is the B eigenvector scaled by ``sqrt(lambda)``, i.e. a finished
+coordinate column. Otherwise it is the m x m ``M * M^T`` itself.
 
 Everything here is deterministic: a Jacobi eigensolver with a fixed
 round-robin rotation order, a fixed column sign convention, and no
@@ -33,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import BrandMatchError, EmptyCorpusError
+from .matcher import _check_finite, _float_rows
 
 # numpy is imported inside the functions that compute, so validate and synth never load it
 if TYPE_CHECKING:
@@ -55,8 +54,7 @@ def _check_distance_matrix(distances: np.ndarray) -> np.ndarray:
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise BrandMatchError(f"distance matrix must be square, got {d.shape}")
-    if not np.isfinite(d).all():
-        raise BrandMatchError("distance matrix has a NaN or infinite entry")
+    _check_finite(d, "distance matrix")
     if (d < 0.0).any():
         raise BrandMatchError("distance matrix has a negative entry")
     if not np.array_equal(d, d.T):
@@ -77,12 +75,11 @@ def _embedded_distances(coordinates: np.ndarray,
 def stress(distances: np.ndarray, coordinates: np.ndarray) -> float:
     """Raw stress of m x 2 coordinates: sum over i<j of squared (embedded - input) distances."""
     import numpy as np
-    d = np.asarray(distances, dtype=np.float64)
+    d = _check_distance_matrix(distances)
     x = np.asarray(coordinates, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise BrandMatchError(f"distance matrix must be square, got {d.shape}")
     if x.shape != (d.shape[0], 2):
         raise BrandMatchError(f"coordinates {x.shape} inconsistent with distances {d.shape}")
+    _check_finite(x, "coordinate array")
     return _raw_stress(d, _embedded_distances(x))
 
 
@@ -195,35 +192,25 @@ def _fix_column_signs(coordinates: np.ndarray) -> np.ndarray:
     return coordinates
 
 
-def classical_mds(distances: np.ndarray, *,
-                  points: Optional[np.ndarray] = None) -> np.ndarray:
-    """Torgerson scaling of a distance matrix to an m x 2 coordinate array.
+def classical_mds(*, points: np.ndarray) -> np.ndarray:
+    """Torgerson scaling of the Euclidean distances between m rows, to m x 2 coordinates.
 
-    ``points``, if given, are the m x V rows the Euclidean distances were
-    computed from; identical centred columns are merged into V' distinct ones
-    and, when V' < m, the eigenproblem is solved on the V' x V' Gram matrix of
-    the merged columns instead of the m x m matrix B (see the module docstring).
-
-    Negative leading eigenvalues (non-Euclidean input) clamp to zero and yield
-    a zero coordinate column; if both leading eigenvalues are non-positive the
-    embedding is all-zero and a RuntimeWarning is issued.
+    ``points`` are the m x V rows. Identical centred columns are merged into V'
+    distinct ones, and the eigenproblem is solved on the smaller Gram matrix of
+    the merged columns: V' x V' when V' < m, else m x m (see the module
+    docstring). If both leading eigenvalues are non-positive (all rows equal)
+    the embedding is all-zero and a RuntimeWarning is issued.
     """
     import numpy as np
-    d = _check_distance_matrix(distances)
-    m = d.shape[0]
+    x = _float_rows(points)
+    m = x.shape[0]
     if m < 2:
         raise EmptyCorpusError("need at least two points to embed")
-    x = None if points is None else np.asarray(points, dtype=np.float64)
-    if x is not None and (x.ndim != 2 or x.shape[0] != m):
-        raise BrandMatchError(f"points {x.shape} inconsistent with {m} x {m} distances")
-    merged = None
-    if x is not None:
-        # merged after centring: the mean of a pre-scaled column rounds
-        # differently, which can lift a zero eigenvalue of B off zero
-        columns, counts = np.unique(x - x.mean(axis=0), axis=1, return_counts=True)
-        if columns.shape[1] < m:
-            merged = columns * np.sqrt(counts)
-    if merged is not None:
+    # merged after centring: the mean of a pre-scaled column rounds
+    # differently, which can lift a zero eigenvalue of B off zero
+    columns, counts = np.unique(x - x.mean(axis=0), axis=1, return_counts=True)
+    merged = columns * np.sqrt(counts)
+    if merged.shape[1] < m:
         eigenvalues, eigenvectors = jacobi_eigh(merged.T @ merged)
         # V' may be below 2; the missing eigenvalues of B are zero
         top = min(2, eigenvalues.size)
@@ -233,9 +220,7 @@ def classical_mds(distances: np.ndarray, *,
         coordinates[:, :top] = merged @ eigenvectors[:, :top]
         coordinates[:, top_values <= 0.0] = 0.0
     else:
-        centering = np.eye(m) - np.full((m, m), 1.0 / m)
-        b = -0.5 * centering @ (d * d) @ centering
-        eigenvalues, eigenvectors = jacobi_eigh(b)
+        eigenvalues, eigenvectors = jacobi_eigh(merged @ merged.T)
         top_values = eigenvalues[:2]
         coordinates = eigenvectors[:, :2] * np.sqrt(np.clip(top_values, 0.0, None))
     if np.all(top_values <= 0.0):
@@ -268,6 +253,7 @@ def smacof_refine(distances: np.ndarray, initial: np.ndarray,
     if x.ndim != 2 or x.shape[0] != m or x.shape[1] != 2:
         raise BrandMatchError(
             f"initial configuration {x.shape} inconsistent with {m} x {m} distances")
+    _check_finite(x, "initial configuration")
 
     # the embedded distances of each configuration serve both its stress and
     # the Guttman step that follows it

@@ -36,7 +36,14 @@ def _float_rows(values: np.ndarray) -> np.ndarray:
     rows = np.asarray(values, dtype=np.float64)
     if rows.ndim != 2:
         raise BrandMatchError(f"expected a 2-D matrix of rows, got shape {rows.shape}")
+    _check_finite(rows, "row matrix")
     return rows
+
+
+def _check_finite(array: np.ndarray, name: str) -> None:
+    import numpy as np
+    if not np.isfinite(array).all():
+        raise BrandMatchError(f"{name} has a NaN or infinite entry")
 
 
 def _distances_to(rows: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -121,9 +121,13 @@ def test_criterion_3_mds_recovery():
     rng = np.random.RandomState(77)
     for _ in range(100):
         m = int(rng.randint(3, 26))
-        points = rng.rand(m, 2) * 10.0
+        planar = np.zeros((m, 5))
+        planar[:, :2] = rng.rand(m, 2) * 10.0
+        # a seeded rotation into R^5, so the rows are not already the answer
+        rotation, _ = np.linalg.qr(rng.randn(5, 5))
+        points = planar @ rotation
         distances = pairwise_distances(points)
-        embedded = pairwise_distances(classical_mds(distances))
+        embedded = pairwise_distances(classical_mds(points=points))
         i, j = np.triu_indices(m, k=1)
         relative = np.abs(embedded[i, j] - distances[i, j]) / distances[i, j]
         assert relative.max() < 1e-6
@@ -138,7 +142,7 @@ def test_criterion_4_smacof_monotonicity():
         m = int(rng.randint(4, 16))
         points = rng.rand(m, 5)
         distances = pairwise_distances(points)
-        initial = classical_mds(distances)
+        initial = classical_mds(points=points)
         refined, history = smacof_refine(distances, initial, max_iter=150,
                                          tol=1e-10, return_history=True)
         for before, after in zip(history, history[1:]):
@@ -200,7 +204,7 @@ def test_criterion_6_determinism(tmp_path):
     expected = {
         "report.txt": "32a517221c4a43204261d7365d10c7363dd9a31c1c2f5d0a2bb5a47e559ba2c9",
         "matrix.tsv": "808fa8a1a46f03e4536f49bbca1b3632ca5ff73901f04d10e60ae0efee81d586",
-        "embedding.tsv": "7461ca45a132ff0571ac331a44be4dcaf86039c7f279f0c90fe18ee782fb47f6",
+        "embedding.tsv": "364a09803e8989a626909cda3d7115e7cbfdb96a3c945460ab57cfbc64938fce",
         "plot.svg": "eef7f9924444f1b05b84d35908c9fcc3aca0e66bc7c502913ebf17e7571b7f0c",
         "users.txt": "def904b20652fa81e679a5ece8231ed9832b9c1286cf6ef05bf01566a52ef88f",
     }
@@ -213,8 +217,8 @@ def test_criterion_6_determinism(tmp_path):
     ("tfidf", "8ad643f483817841384185a14928bd74ec7e361c047b51de667f1943b4a6d863"),
 ])
 def test_embed_plot_bytes_at_twenty_per_category(tmp_path, weighting, digest):
-    # m = 101 > V = 72: the quick start (m = 26) double-centres, this solves
-    # the Gram matrix of the points' columns
+    # m = 101 > V' = 42: the quick start (m = 26) solves the m x m Gram matrix
+    # of the merged columns, this the V' x V' one
     assert _quiet_main(["synth", "--out", str(tmp_path), "--users-per-category", "20",
                         "--brand", "pizza"]) == EXIT_OK
     plot = tmp_path / "plot.svg"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import errno
 import functools
 import gc
 import json
@@ -94,6 +95,15 @@ def test_validate_video_only_target_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_FAILURE
     assert "target has no classifiable media" in out
+
+
+def test_validate_empty_user_list_fails(tmp_path, capsys):
+    users = write_user_list(tmp_path, [])
+    code = main(["validate", "--users", str(users), "--metadata", str(tmp_path)])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().out.splitlines() == [
+        "ERROR: no profile has classifiable media; nothing to match on",
+        "validated 0 profiles: 0 ok, 0 warnings, 1 errors"]
 
 
 def test_match_brand_neighbors_share_category(fixture_dir, tmp_path, capsys):
@@ -321,6 +331,35 @@ def test_embed_failed_plot_leaves_no_exported_matrix(fixture_dir, tmp_path, caps
     assert code == EXIT_FAILURE
     assert captured.out == ""
     assert _single_error_line(captured.err).endswith(f"{tmp_path / 'nodir' / 'p.svg'}'")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_failing_partway_leaves_no_partial_file(fixture_dir, tmp_path, monkeypatch,
+                                                      capsys):
+    plot = tmp_path / "p.svg"
+
+    def full_disk(path, *args, **kwargs):
+        file = builtins.open(path, *args, **kwargs)
+        if path == plot:
+            write = file.write
+
+            def store_half(text):
+                write(text[:len(text) // 2])
+                file.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+            file.write = store_half
+        return file
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    code = main(["embed", *_pipeline_args(fixture_dir, "--target", "dogs_brand",
+                                          "--export-matrix", str(tmp_path / "m.tsv"),
+                                          "--embedding", str(tmp_path / "e.tsv"),
+                                          "--plot", str(plot))])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert captured.out == ""
+    assert _single_error_line(captured.err).endswith(f"No space left on device: '{plot}'")
     assert list(tmp_path.iterdir()) == []
 
 

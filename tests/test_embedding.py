@@ -8,19 +8,14 @@ import pytest
 
 from brandmatch import (
     BrandMatchError,
+    DocTermMatrix,
     Embedding2D,
     EmptyCorpusError,
-    FixtureSpec,
-    build_vocabulary,
     classical_mds,
-    count_vectorize,
-    generate_brand_profile,
-    generate_profile_set,
+    knn_match,
     pairwise_distances,
     smacof_refine,
     stress,
-    synthesize_document,
-    tfidf_transform,
 )
 from brandmatch import embedding
 from brandmatch.embedding import jacobi_eigh
@@ -182,11 +177,19 @@ def test_stress_invariant_under_rigid_motions():
 
 # --- classical MDS ---------------------------------------------------------
 
+def _plant(points, dimensions, seed):
+    """The rows rotated into R^dimensions: the same distances, no longer the answer."""
+    rotation, _ = np.linalg.qr(np.random.RandomState(seed).randn(dimensions, dimensions))
+    padded = np.zeros((points.shape[0], dimensions))
+    padded[:, :points.shape[1]] = points
+    return padded @ rotation
+
+
 def test_two_points_at_distance_two():
-    d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    result = classical_mds(d)
+    points = np.array([[0.0], [2.0]])
+    result = classical_mds(points=points)
     assert result == pytest.approx(np.array([[1.0, 0.0], [-1.0, 0.0]]), abs=1e-12)
-    assert stress(d, result) <= 1e-18
+    assert stress(pairwise_distances(points), result) <= 1e-18
     # sign convention: the largest-magnitude entry of each column is positive,
     # earliest row winning ties
     assert result[0, 0] > 0
@@ -194,103 +197,82 @@ def test_two_points_at_distance_two():
 
 def test_identical_points_embed_at_zero_with_warning():
     with pytest.warns(RuntimeWarning, match="^both leading eigenvalues non-positive"):
-        result = classical_mds(np.zeros((5, 5)))
+        result = classical_mds(points=np.zeros((5, 3)))
     assert not result.any()
     assert stress(np.zeros((5, 5)), result) == 0.0
 
 
 def test_right_triangle_recovery():
-    pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
-    d = pairwise_distances(pts)
-    result = classical_mds(d)
-    assert np.max(_rel_distance_error(d, result)) < 1e-9
-    embedded = pairwise_distances(result)
-    i, j = np.triu_indices(3, k=1)
-    assert sorted(embedded[i, j]) == pytest.approx([3.0, 4.0, 5.0], rel=1e-9)
+    triangle = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+    for points in (triangle, _plant(triangle, 3, 5)):  # V' = 2 < m = 3, then V' = m
+        d = pairwise_distances(points)
+        result = classical_mds(points=points)
+        assert np.max(_rel_distance_error(d, result)) < 1e-9
+        embedded = pairwise_distances(result)
+        i, j = np.triu_indices(3, k=1)
+        assert sorted(embedded[i, j]) == pytest.approx([3.0, 4.0, 5.0], rel=1e-9)
 
 
 def test_planted_2d_configurations_recovered():
     rng = np.random.RandomState(19)
-    for _ in range(20):
+    for seed in range(20):
         m = rng.randint(3, 26)
-        pts = rng.rand(m, 2) * 5
-        d = pairwise_distances(pts)
-        result = classical_mds(d)
+        points = _plant(rng.rand(m, 2) * 5, 8, seed)  # V' = 8 >= m for m <= 8
+        d = pairwise_distances(points)
+        result = classical_mds(points=points)
         assert np.max(_rel_distance_error(d, result)) < 1e-6
 
 
 def test_collinear_points_second_column_vanishes():
-    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    result = classical_mds(d)
-    assert np.max(np.abs(result[:, 1])) < 1e-6
-    assert np.max(_rel_distance_error(d, result)) < 1e-6
-    # one column of points: the V x V path has a single eigenpair, so its
-    # second column is exactly zero where B's carries rounding noise
-    from_points = classical_mds(d, points=np.array([[0.0], [1.0], [2.0]]))
-    assert not from_points[:, 1].any()
-    assert np.abs(from_points[:, 0] - result[:, 0]).max() <= 1e-9
+    # one column: the V' x V' path has a single eigenpair, so the second
+    # column is exactly zero
+    line = np.array([[0.0], [1.0], [2.0]])
+    result = classical_mds(points=line)
+    assert not result[:, 1].any()
+    assert np.max(_rel_distance_error(pairwise_distances(line), result)) < 1e-9
+    # four distinct columns: the m x m path, whose second eigenvalue is rounding noise
+    tilted = line * np.array([1.0, 2.0, 3.0, 4.0])
+    from_gram = classical_mds(points=tilted)
+    assert np.max(np.abs(from_gram[:, 1])) < 1e-6
+    assert np.max(_rel_distance_error(pairwise_distances(tilted), from_gram)) < 1e-6
 
 
 def test_embedding_is_centered():
     rng = np.random.RandomState(23)
-    d = pairwise_distances(rng.rand(12, 6))
-    result = classical_mds(d)
-    assert np.abs(result.mean(axis=0)).max() <= 1e-9
+    for shape in ((12, 6), (6, 12)):
+        result = classical_mds(points=rng.rand(*shape))
+        assert np.abs(result.mean(axis=0)).max() <= 1e-9
 
 
 def test_classical_mds_deterministic():
     rng = np.random.RandomState(29)
-    d = pairwise_distances(rng.rand(10, 4))
-    first = classical_mds(d)
-    second = classical_mds(d)
-    assert np.array_equal(first, second)
-    assert stress(d, first) == stress(d, second)
+    for shape in ((10, 4), (4, 10)):
+        points = rng.rand(*shape)
+        d = pairwise_distances(points)
+        first = classical_mds(points=points)
+        second = classical_mds(points=points)
+        assert np.array_equal(first, second)
+        assert stress(d, first) == stress(d, second)
 
 
 def test_classical_mds_input_validation():
-    with pytest.raises(BrandMatchError, match="not symmetric"):
-        classical_mds(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(BrandMatchError, match="nonzero diagonal"):
-        classical_mds(np.array([[1.0, 2.0], [2.0, 0.0]]))
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(BrandMatchError, match="NaN or infinite entry"):
-            classical_mds(np.array([[0.0, bad], [bad, 0.0]]))
-        with pytest.raises(BrandMatchError, match="NaN or infinite entry"):
-            smacof_refine(np.array([[0.0, bad], [bad, 0.0]]),
-                          classical_mds(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    with pytest.raises(BrandMatchError, match="negative entry"):
-        classical_mds(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(BrandMatchError, match=r"^distance matrix must be square, got \(2, 3\)$"):
-        classical_mds(np.zeros((2, 3)))
+    # a distance matrix is never taken, by position or beside the rows
+    with pytest.raises(TypeError):
+        classical_mds(np.zeros((3, 3)))
+    with pytest.raises(TypeError):
+        classical_mds(np.zeros((3, 3)), points=np.zeros((3, 1)))
+    with pytest.raises(TypeError):
+        classical_mds()
     with pytest.raises(EmptyCorpusError, match="^need at least two points to embed$"):
-        classical_mds(np.zeros((1, 1)))
-    with pytest.raises(BrandMatchError, match=r"^points \(2, 1\) inconsistent with 3 x 3 distances$"):
-        classical_mds(np.zeros((3, 3)), points=np.zeros((2, 1)))
-    with pytest.raises(BrandMatchError, match=r"^points \(3,\) inconsistent with 3 x 3 distances$"):
-        classical_mds(np.zeros((3, 3)), points=np.zeros(3))
-
-
-@pytest.mark.parametrize("users_per_category", [5, 20])
-def test_classical_mds_from_points_matches_distance_path(users_per_category):
-    # the `synth --brand pizza` fixtures: the demo (V >= m, distance path)
-    # and 20 per category (V < m, V x V path)
-    spec = FixtureSpec(users_per_category=users_per_category)
-    profiles = [*generate_profile_set(spec).profiles,
-                generate_brand_profile(spec, "pizza", "pizza_brand")]
-    documents = [synthesize_document(p) for p in profiles]
-    counts = count_vectorize(documents, build_vocabulary(documents))
-    for matrix in (counts, tfidf_transform(counts)):
-        m, v = matrix.values.shape
-        assert (v < m) == (users_per_category == 20)
-        d = pairwise_distances(matrix.values)
-        reference = classical_mds(d)
-        from_points = classical_mds(d, points=matrix.values)
-        assert np.abs(from_points - reference).max() <= 1e-9
+        classical_mds(points=np.zeros((1, 3)))
+    with pytest.raises(BrandMatchError,
+                       match=r"^expected a 2-D matrix of rows, got shape \(3,\)$"):
+        classical_mds(points=np.zeros(3))
 
 
 def test_classical_mds_identical_points_collapse_with_warning():
     with pytest.warns(RuntimeWarning, match="^both leading eigenvalues non-positive"):
-        result = classical_mds(np.zeros((6, 6)), points=np.full((6, 3), 2.5))
+        result = classical_mds(points=np.full((6, 3), 2.5))
     assert not result.any()
     assert result.shape == (6, 2)
 
@@ -301,7 +283,7 @@ def test_smacof_fixed_point_returns_immediately():
     rng = np.random.RandomState(41)
     pts = rng.rand(6, 2)
     d = pairwise_distances(pts)
-    initial = classical_mds(d)
+    initial = classical_mds(points=pts)
     refined, history = smacof_refine(d, initial, return_history=True)
     assert len(history) == 2
     assert refined.stress <= 1e-18
@@ -312,7 +294,7 @@ def test_smacof_stress_non_increasing():
     for _ in range(10):
         pts = rng.rand(8, 5)
         d = pairwise_distances(pts)
-        initial = classical_mds(d)
+        initial = classical_mds(points=pts)
         refined, history = smacof_refine(d, initial, tol=1e-10, max_iter=200,
                                          return_history=True)
         for before, after in zip(history, history[1:]):
@@ -340,7 +322,7 @@ def test_smacof_improves_a_perturbed_configuration():
 
 def test_smacof_returns_only_coordinates_and_stress():
     d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    refined = smacof_refine(d, classical_mds(d))
+    refined = smacof_refine(d, classical_mds(points=np.array([[0.0], [2.0]])))
     assert isinstance(refined, Embedding2D)
     assert [field.name for field in dataclasses.fields(refined)] == ["coordinates", "stress"]
 
@@ -362,8 +344,9 @@ def test_smacof_coincident_initial_points():
 
 def test_smacof_warns_when_max_iter_reached():
     rng = np.random.RandomState(89)
-    d = pairwise_distances(rng.rand(10, 5))
-    initial = classical_mds(d)
+    points = rng.rand(10, 5)
+    d = pairwise_distances(points)
+    initial = classical_mds(points=points)
     with pytest.warns(RuntimeWarning, match=r"SMACOF stopped after 3 iterations without "
                       r"converging: relative stress decrease \d\.\d{3}e-\d\d, "
                       r"tol 1\.000e-12") as caught:
@@ -403,13 +386,52 @@ def test_smacof_input_validation():
         smacof_refine(d, good, max_iter=0)
     with pytest.raises(ValueError):
         smacof_refine(d, good, tol=0.0)
+    with pytest.raises(BrandMatchError, match="not symmetric"):
+        smacof_refine(np.array([[0.0, 1.0], [2.0, 0.0]]), good)
+    with pytest.raises(BrandMatchError, match="nonzero diagonal"):
+        smacof_refine(np.array([[1.0, 2.0], [2.0, 0.0]]), good)
+    with pytest.raises(BrandMatchError, match="negative entry"):
+        smacof_refine(np.array([[0.0, -1.0], [-1.0, 0.0]]), good)
+    with pytest.raises(BrandMatchError, match=r"^distance matrix must be square, got \(2, 3\)$"):
+        smacof_refine(np.zeros((2, 3)), good)
 
 
 def test_smacof_deterministic():
     rng = np.random.RandomState(53)
-    d = pairwise_distances(rng.rand(7, 4))
-    initial = classical_mds(d)
+    points = rng.rand(7, 4)
+    d = pairwise_distances(points)
+    initial = classical_mds(points=points)
     first = smacof_refine(d, initial)
     second = smacof_refine(d, initial)
     assert np.array_equal(first.coordinates, second.coordinates)
     assert first.stress == second.stress
+
+
+# --- non-finite input --------------------------------------------------------
+
+def _ranked(values):
+    return knn_match(DocTermMatrix(values=values, row_labels=("a", "b", "c"),
+                                   vocabulary=("x", "y")), 0)
+
+
+def _off_diagonal(values):
+    # a distance matrix: symmetric, zero diagonal, every other entry the planted value
+    return np.where(np.eye(3) > 0.0, 0.0, values[1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call, name", [
+    (_ranked, "row matrix"),
+    (pairwise_distances, "row matrix"),
+    (lambda values: classical_mds(points=values), "row matrix"),
+    (lambda values: smacof_refine(np.zeros((3, 3)), values), "initial configuration"),
+    (lambda values: smacof_refine(_off_diagonal(values), np.zeros((3, 2))), "distance matrix"),
+    (lambda values: stress(np.zeros((3, 3)), values), "coordinate array"),
+    (lambda values: stress(_off_diagonal(values), np.zeros((3, 2))), "distance matrix"),
+], ids=["knn_match", "pairwise_distances", "classical_mds", "smacof_initial",
+        "smacof_distances", "stress", "stress_distances"])
+def test_non_finite_input_is_rejected(call, name, bad):
+    values = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    values[1, 0] = bad
+    with pytest.raises(BrandMatchError, match=f"^{name} has a NaN or infinite entry$"):
+        call(values)

@@ -7,9 +7,10 @@ Jacobi must agree bit for bit; the current SMACOF must take the same number of
 iterations and land within 1e-12 of the reference.
 
 ``_reference_classical_mds`` solves the V x V problem on every raw centred
-column when V < m, without merging equal columns. The merged-column path must
-land within 1e-12 of it, and within 1e-10 of double-centring the m x m
-distances, both relative to the RMS radius.
+column (V < m), without merging equal columns. The merged-column path must
+land within 1e-12 of it, relative to the RMS radius. Either Gram side must
+land within 1e-10 of LAPACK on the centred rows' m x m Gram matrix, and at
+m = 501 of LAPACK on the double-centred distances.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _assert_smacof_close(distances, initial):
 def test_smacof_matches_reference_on_synth_fixtures(seed, weighting):
     matrix = _synth_matrix(seed, weighting)
     distances = pairwise_distances(matrix.values)
-    _assert_smacof_close(distances, classical_mds(distances, points=matrix.values))
+    _assert_smacof_close(distances, classical_mds(points=matrix.values))
 
 
 def test_smacof_matches_reference_with_coincident_points():
@@ -197,7 +198,7 @@ def test_smacof_matches_reference_with_coincident_points():
     points[[4, 7]] = points[2]
     points[8] = points[0]
     distances = pairwise_distances(points)
-    initial = classical_mds(distances, points=points)
+    initial = classical_mds(points=points)
     assert distances[2, 7] == 0.0
     assert np.array_equal(initial[2], initial[7])
     _assert_smacof_close(distances, initial)
@@ -215,34 +216,29 @@ def _reference_fix_column_signs(coordinates):
     return coordinates
 
 
-def _reference_classical_mds(distances, points):
-    d = np.asarray(distances, dtype=np.float64)
-    m = d.shape[0]
-    x = np.asarray(points, dtype=np.float64)
-    if x.shape[1] < m:
-        centred = x - x.mean(axis=0)
-        eigenvalues, eigenvectors = jacobi_eigh(centred.T @ centred)
-        top = min(2, eigenvalues.size)
-        top_values = np.zeros(2)
-        top_values[:top] = eigenvalues[:top]
-        coordinates = np.zeros((m, 2))
-        coordinates[:, :top] = centred @ eigenvectors[:, :top]
-        coordinates[:, top_values <= 0.0] = 0.0
-    else:
-        centering = np.eye(m) - np.full((m, m), 1.0 / m)
-        b = -0.5 * centering @ (d * d) @ centering
-        eigenvalues, eigenvectors = jacobi_eigh(b)
-        coordinates = eigenvectors[:, :2] * np.sqrt(np.clip(eigenvalues[:2], 0.0, None))
+def _reference_classical_mds(points):
+    centred = points - points.mean(axis=0)
+    eigenvalues, eigenvectors = jacobi_eigh(centred.T @ centred)
+    coordinates = centred @ eigenvectors[:, :2]
+    coordinates[:, eigenvalues[:2] <= 0.0] = 0.0
     return _reference_fix_column_signs(coordinates)
+
+
+def _top_two(values, vectors):
+    top = np.argsort(-values)[:2]
+    return _reference_fix_column_signs(vectors[:, top] * np.sqrt(np.clip(values[top], 0.0, None)))
+
+
+def _lapack_centred_gram(points):
+    centred = points - points.mean(axis=0)
+    return _top_two(*np.linalg.eigh(centred @ centred.T))
 
 
 def _lapack_double_centring(distances):
     # the m x m problem solved by LAPACK: Jacobi takes about 40 s at m = 501
     m = distances.shape[0]
     centering = np.eye(m) - np.full((m, m), 1.0 / m)
-    values, vectors = np.linalg.eigh(-0.5 * centering @ (distances * distances) @ centering)
-    top = np.argsort(-values)[:2]
-    return _reference_fix_column_signs(vectors[:, top] * np.sqrt(np.clip(values[top], 0.0, None)))
+    return _top_two(*np.linalg.eigh(-0.5 * centering @ (distances * distances) @ centering))
 
 
 def _synth_cli_matrix(users_per_category, weighting):
@@ -263,39 +259,37 @@ def _assert_coordinates_close(coordinates, reference, relative):
 
 @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
 def test_classical_mds_matches_the_unmerged_column_path(weighting):
-    matrix = _synth_cli_matrix(20, weighting)  # m = 101, V = 72, V' = 42
-    distances = pairwise_distances(matrix.values)
-    embedding = classical_mds(distances, points=matrix.values)
-    _assert_coordinates_close(embedding,
-                              _reference_classical_mds(distances, matrix.values), 1e-12)
+    values = _synth_cli_matrix(20, weighting).values  # m = 101, V = 72, V' = 42
+    _assert_coordinates_close(classical_mds(points=values), _reference_classical_mds(values),
+                              1e-12)
 
 
 @pytest.mark.parametrize("users_per_category, weighting", [
-    (5, "counts"),  # m = 26: both paths double-centre
-    (9, "counts"),  # m = 46 > V' = 42 but < V = 72: the merge switches path
+    (5, "counts"),  # m = 26 <= V' = 42: the m x m Gram matrix
+    (9, "counts"),  # m = 46 > V' = 42 but < V = 72: the merge switches side
     (9, "tfidf"),
     (20, "counts"),
     (20, "tfidf"),
 ])
-def test_classical_mds_matches_the_distance_only_path(users_per_category, weighting):
-    matrix = _synth_cli_matrix(users_per_category, weighting)
-    distances = pairwise_distances(matrix.values)
-    from_points = classical_mds(distances, points=matrix.values)
-    from_distances = classical_mds(distances)
-    _assert_coordinates_close(from_points, from_distances, 1e-10)
-    assert stress(distances, from_points) == pytest.approx(stress(distances, from_distances),
+def test_classical_mds_matches_lapack_on_the_centred_gram(users_per_category, weighting):
+    values = _synth_cli_matrix(users_per_category, weighting).values
+    distances = pairwise_distances(values)
+    embedding = classical_mds(points=values)
+    reference = _lapack_centred_gram(values)
+    _assert_coordinates_close(embedding, reference, 1e-10)
+    assert stress(distances, embedding) == pytest.approx(stress(distances, reference),
                                                          rel=1e-10)
 
 
 def test_classical_mds_matches_double_centring_at_m_501():
     matrix = _synth_cli_matrix(100, "tfidf")
     distances = pairwise_distances(matrix.values)
-    embedding = classical_mds(distances, points=matrix.values)
+    embedding = classical_mds(points=matrix.values)
     _assert_coordinates_close(embedding, _lapack_double_centring(distances), 1e-10)
 
 
 @pytest.mark.parametrize("users_per_category, solved", [
-    (5, (26, 26)),  # the README demo: m = 26 < V' = 42 stays on the m x m path
+    (5, (26, 26)),  # the README demo: m = 26 < V' = 42 solves the m x m side
     (9, (42, 42)),
     (20, (42, 42)),
 ])
@@ -309,5 +303,5 @@ def test_jacobi_solves_the_distinct_columns(monkeypatch, users_per_category, sol
     monkeypatch.setattr(brandmatch.embedding, "jacobi_eigh", recording)
     matrix = _synth_cli_matrix(users_per_category, "counts")
     assert matrix.values.shape[1] == 72
-    classical_mds(pairwise_distances(matrix.values), points=matrix.values)
+    classical_mds(points=matrix.values)
     assert shapes == [solved]

@@ -19,9 +19,10 @@ that is the V' x V' ``M^T * M``, which shares its nonzero eigenvalues with B
 ``M * w`` is the B eigenvector scaled by ``sqrt(lambda)``, i.e. a finished
 coordinate column. Otherwise it is the m x m ``M * M^T`` itself.
 
-Everything here is deterministic: a Jacobi eigensolver with a fixed
-round-robin rotation order, a fixed column sign convention, and no
-randomness, so identical inputs give bit-identical embeddings.
+Only the top two eigenpairs are computed, by a tridiagonal solver. Nothing
+here uses randomness or BLAS, whose kernels round differently on different
+CPUs: every product is built from numpy row sums. So identical inputs give
+bit-identical embeddings.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_ITER = 300
 DEFAULT_TOL = 1e-6
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_REL_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,98 +85,98 @@ def stress(distances: np.ndarray, coordinates: np.ndarray) -> float:
 def _raw_stress(distances: np.ndarray, embedded: np.ndarray) -> float:
     import numpy as np
     # the residual is symmetric with a zero diagonal, so half its full sum of
-    # squares is the sum over i < j; summed by numpy, not by a BLAS dot, whose
-    # worker threads can take milliseconds to wake at this size
+    # squares is the sum over i < j
     residual = embedded - distances
     return 0.5 * float(np.square(residual, out=residual).sum())
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rounds of disjoint index pairs (p, q), p < q, covering every pair once.
-
-    Circle-method tournament: index 0 stays put while the others rotate one
-    place per round. Odd n is padded with a dummy index whose pairs drop out.
-    """
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product of a and b from numpy row sums, one output column at a time."""
     import numpy as np
-    size = n + n % 2
-    seat = np.arange(size)
-    shift = np.arange(size - 1)[:, np.newaxis]
-    ring = np.where(seat == 0, 0, 1 + (seat - 1 - shift) % (size - 1))
-    left, right = ring[:, :size // 2], ring[:, ::-1][:, :size // 2]
-    p, q = np.minimum(left, right), np.maximum(left, right)
-    return [(p_round[q_round < n], q_round[q_round < n]) for p_round, q_round in zip(p, q)]
+    return np.stack([(a * column).sum(axis=1) for column in b.T], axis=1)
 
 
-def _rotate(array: np.ndarray, index_p, index_q, c: np.ndarray, s: np.ndarray) -> None:
-    """Rotate each slice pair: p <- c*p - s*q and q <- s*p + c*q."""
-    # fancy-index reads copy, so every pair sees pre-round values and the
-    # arithmetic can run in place on the copies
-    old_p, old_q = array[index_p], array[index_q]
-    new_p = c * old_p
-    new_p -= s * old_q
-    old_p *= s
-    old_q *= c
-    old_p += old_q
-    array[index_p] = new_p
-    array[index_q] = old_p
+def _solve_shifted(diagonal: list, off: list, shift: float, rhs: list, floor: float) -> list:
+    """Solve (T - shift * I) y = rhs for the tridiagonal T by elimination with row swaps,
+    taking a pivot below ``floor`` in size as ``floor`` (inverse iteration's singular case)."""
+    n = len(diagonal)
+    d, e, b = [x - shift for x in diagonal] + [0.0], off + [0.0, 0.0], rhs + [0.0]
+    rows, row = [], (d[0], e[0], 0.0)  # a row's entries in columns i, i+1 and i+2
+    for i in range(n):
+        below = (e[i], d[i + 1], e[i + 1])
+        if abs(below[0]) > abs(row[0]):
+            row, below, b[i], b[i + 1] = below, row, b[i + 1], b[i]
+        pivot = row[0] if abs(row[0]) >= floor else (floor if row[0] >= 0.0 else -floor)
+        rows.append((pivot, row[1], row[2]))
+        factor = below[0] / pivot
+        b[i + 1] -= factor * b[i]
+        row = (below[1] - factor * row[1], below[2] - factor * row[2], 0.0)
+    y = [0.0] * (n + 2)
+    for i in range(n - 1, -1, -1):
+        y[i] = (b[i] - rows[i][1] * y[i + 1] - rows[i][2] * y[i + 2]) / rows[i][0]
+    return y[:n]
 
 
-def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by parallel-ordered Jacobi rotations.
+def _top_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The min(2, n) largest eigenpairs of a symmetric n x n matrix, largest first.
 
-    Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue;
-    column j of the eigenvector matrix pairs with eigenvalue j. Each sweep
-    visits every off-diagonal pair once in a fixed round-robin order of n-1
-    rounds (Brent & Luk 1985); the rotations of one round act on disjoint
-    index pairs, so they commute and are applied together. Sweeps stop when
-    the off-diagonal Frobenius norm drops below 1e-12 times the matrix norm;
-    after the hard cap of 100 sweeps a RuntimeWarning reports the norm
-    reached. The order is fixed, so the decomposition is deterministic.
+    Householder reflections reduce it to a tridiagonal T, Sturm-sequence bisection
+    finds each eigenvalue to eps * ||T||_inf, and two solves of inverse iteration
+    find its vector, kept orthogonal to the first so a tied eigenvalue yields two;
+    the reflections carry it back (Golub & Van Loan, *Matrix Computations*, ch. 8).
     """
+    import math
     import numpy as np
-    a = np.array(matrix, dtype=np.float64, copy=True)
+    a = np.array(matrix, dtype=np.float64)
     n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise BrandMatchError(f"matrix must be square, got {a.shape}")
-    # A on top of V: both take the same column rotation, so one gather,
-    # rotate and scatter per round serves both; the row rotation is A's alone
-    stacked = np.concatenate([a, np.eye(n)])
-    a, v = stacked[:n], stacked[n:]
-    diagonal = np.diagonal(a)
-    frobenius = float(np.linalg.norm(a))
-    if n > 1 and frobenius > 0.0:
-        threshold = _JACOBI_REL_THRESHOLD * frobenius
-        upper = np.triu_indices(n, k=1)
-        rounds = _round_robin(n)
-        for _ in range(_JACOBI_SWEEP_CAP):
-            # summed directly, not as ||A||^2 - ||diag||^2: that difference
-            # cancels catastrophically once the off-diagonal part is small
-            off_norm = np.sqrt(2.0 * float((a[upper] ** 2).sum()))
-            if off_norm < threshold:
-                break
-            for p, q in rounds:
-                apq = a[p, q]
-                if not apq.all():
-                    live = apq != 0.0
-                    p, q, apq = p[live], q[live], apq[live]
-                    if p.size == 0:
-                        continue
-                tau = (diagonal[q] - diagonal[p]) / (2.0 * apq)
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                _rotate(stacked, np.s_[:, p], np.s_[:, q], c, s)
-                _rotate(a, p, q, c[:, np.newaxis], s[:, np.newaxis])
-                a[p, q] = a[q, p] = 0.0
-        else:
-            off_norm = np.sqrt(2.0 * float((a[upper] ** 2).sum()))
-            if off_norm >= threshold:
-                warnings.warn(f"Jacobi stopped after {_JACOBI_SWEEP_CAP} sweeps without "
-                              f"converging: off-diagonal norm {off_norm:.3e}, "
-                              f"threshold {threshold:.3e}", RuntimeWarning, stacklevel=2)
-    eigenvalues = diagonal.copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+    off, reflectors = [], []
+    for k in range(n - 2):
+        # I - beta v v^T maps the column below the diagonal to (off[k], 0, ..., 0)
+        column = a[k + 1:, k]
+        norm = math.sqrt(float((column * column).sum()))
+        off.append(-math.copysign(norm, column[0]))
+        if norm > 0.0:
+            v = column.copy()
+            v[0] -= off[k]
+            beta = 1.0 / (norm * (norm + abs(column[0])))
+            rest = a[k + 1:, k + 1:]
+            p = beta * (rest * v).sum(axis=1)
+            w = p - 0.5 * beta * float((p * v).sum()) * v
+            rest -= v[:, np.newaxis] * w + w[:, np.newaxis] * v
+            reflectors.append((k + 1, v[:, np.newaxis], beta))
+    off += [float(a[n - 1, n - 2])] if n > 1 else []
+    diagonal, squares = np.diagonal(a).tolist(), [0.0] + [e * e for e in off]
+    radius = max(abs(d) + abs(e1) + abs(e2)
+                 for d, e1, e2 in zip(diagonal, [0.0, *off], [*off, 0.0]))
+    # the resolution of pivots and eigenvalues; 1 for the zero matrix, where any vector will do
+    floor = float(np.finfo(np.float64).eps) * radius or 1.0
+    values, vectors = [], []
+    for j in range(min(2, n)):
+        # the (j+1)-th largest is the least shift with n - j eigenvalues below it,
+        # which are the negative pivots of T - shift * I (Sturm sequence)
+        low, high, value = -2.0 * radius, 2.0 * radius, 0.0
+        while high - low > floor and low < value < high:
+            count, pivot = 0, 1.0
+            for d, e2 in zip(diagonal, squares):
+                pivot = d - value - e2 / pivot
+                pivot = pivot if abs(pivot) > floor else -floor
+                count += pivot < 0.0
+            low, high = (low, value) if count >= n - j else (value, high)
+            value = 0.5 * (low + high)
+        values.append(value)
+        # a distinct, lopsided start per pair: with a shared one, projecting out
+        # the first vector of a tied eigenvalue can leave nothing of the second
+        x = 1.0 / np.arange(j + 1.0, n + j + 1.0)
+        for _ in range(2):
+            x = np.array(_solve_shifted(diagonal, off, value, x.tolist(), floor))
+            for earlier in vectors:
+                x -= float((x * earlier).sum()) * earlier
+            x /= math.sqrt(float((x * x).sum()))
+        vectors.append(x)
+    result = np.stack(vectors, axis=1)
+    for start, v, beta in reversed(reflectors):
+        result[start:] -= beta * v * (v * result[start:]).sum(axis=0)
+    return np.array(values), result
 
 
 def _fix_column_signs(coordinates: np.ndarray) -> np.ndarray:
@@ -211,18 +210,16 @@ def classical_mds(*, points: np.ndarray) -> np.ndarray:
     columns, counts = np.unique(x - x.mean(axis=0), axis=1, return_counts=True)
     merged = columns * np.sqrt(counts)
     if merged.shape[1] < m:
-        eigenvalues, eigenvectors = jacobi_eigh(merged.T @ merged)
+        eigenvalues, eigenvectors = _top_eigenpairs(_product(merged.T, merged))
         # V' may be below 2; the missing eigenvalues of B are zero
-        top = min(2, eigenvalues.size)
         top_values = np.zeros(2)
-        top_values[:top] = eigenvalues[:top]
+        top_values[:eigenvalues.size] = eigenvalues
         coordinates = np.zeros((m, 2))
-        coordinates[:, :top] = merged @ eigenvectors[:, :top]
+        coordinates[:, :eigenvalues.size] = _product(merged, eigenvectors)
         coordinates[:, top_values <= 0.0] = 0.0
     else:
-        eigenvalues, eigenvectors = jacobi_eigh(merged @ merged.T)
-        top_values = eigenvalues[:2]
-        coordinates = eigenvectors[:, :2] * np.sqrt(np.clip(top_values, 0.0, None))
+        top_values, eigenvectors = _top_eigenpairs(_product(merged, merged.T))
+        coordinates = eigenvectors * np.sqrt(np.clip(top_values, 0.0, None))
     if np.all(top_values <= 0.0):
         warnings.warn("both leading eigenvalues non-positive; embedding collapsed to zero",
                       RuntimeWarning, stacklevel=2)
@@ -264,7 +261,7 @@ def smacof_refine(distances: np.ndarray, initial: np.ndarray,
     for _ in range(max_iter):
         # R overwrites the embedded distances; where dhat = 0 it keeps that 0
         ratio = np.divide(d, embedded, out=embedded, where=embedded > 0.0)
-        x = (ratio.sum(axis=1)[:, np.newaxis] * x - ratio @ x) / m
+        x = (ratio.sum(axis=1)[:, np.newaxis] * x - _product(ratio, x)) / m
         embedded = _embedded_distances(x, out=ratio)
         current = _raw_stress(d, embedded)
         history.append(current)

@@ -12,11 +12,16 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brandmatch
 from brandmatch import (
     DocTermMatrix,
     FixtureSpec,
@@ -179,6 +184,17 @@ def test_criterion_5_vectorizer_hand_checks():
     assert abs(idf_ratio - (math.log(1.5) + 1.0)) <= 1e-9
 
 
+# Frozen bytes of the quick-start outputs. A change that moves a number
+# updates its digest here and says in CHANGES.md why the bytes changed.
+QUICK_START_SHA256 = {
+    "report.txt": "32a517221c4a43204261d7365d10c7363dd9a31c1c2f5d0a2bb5a47e559ba2c9",
+    "matrix.tsv": "808fa8a1a46f03e4536f49bbca1b3632ca5ff73901f04d10e60ae0efee81d586",
+    "embedding.tsv": "3cf37c7824c8de08e403a4a3b5cace733f16528ced6e5aa4f47b7a552e6a4854",
+    "plot.svg": "eef7f9924444f1b05b84d35908c9fcc3aca0e66bc7c502913ebf17e7571b7f0c",
+    "users.txt": "def904b20652fa81e679a5ece8231ed9832b9c1286cf6ef05bf01566a52ef88f",
+}
+
+
 @criterion(6, "end-to-end runs are byte-identical")
 def test_criterion_6_determinism(tmp_path):
     digests = []
@@ -199,17 +215,38 @@ def test_criterion_6_determinism(tmp_path):
     for name in digests[0]:
         assert digests[0][name] == digests[1][name], f"{name} differs between runs"
     assert any(name.endswith(".json") for name in digests[0])
-    # Frozen bytes of the quick-start outputs. A change that moves a number
-    # updates its digest here and says in CHANGES.md why the bytes changed.
-    expected = {
-        "report.txt": "32a517221c4a43204261d7365d10c7363dd9a31c1c2f5d0a2bb5a47e559ba2c9",
-        "matrix.tsv": "808fa8a1a46f03e4536f49bbca1b3632ca5ff73901f04d10e60ae0efee81d586",
-        "embedding.tsv": "364a09803e8989a626909cda3d7115e7cbfdb96a3c945460ab57cfbc64938fce",
-        "plot.svg": "eef7f9924444f1b05b84d35908c9fcc3aca0e66bc7c502913ebf17e7571b7f0c",
-        "users.txt": "def904b20652fa81e679a5ece8231ed9832b9c1286cf6ef05bf01566a52ef88f",
-    }
-    for name, digest in expected.items():
+    for name, digest in QUICK_START_SHA256.items():
         assert hashlib.sha256(digests[0][name]).hexdigest() == digest, f"{name} bytes changed"
+
+
+def _openblas_with_dynamic_arch() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts", or no BLAS entry
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _openblas_with_dynamic_arch(),
+                    reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH, "
+                           "so OPENBLAS_CORETYPE cannot choose its kernel")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_quick_start_embedding_bytes_on_other_blas_kernels(tmp_path, coretype):
+    # an AVX2 and an SSE3 kernel, each in a new interpreter: OpenBLAS reads
+    # OPENBLAS_CORETYPE once, when numpy loads it
+    assert _quiet_main(["synth", "--out", str(tmp_path), "--seed", "42",
+                        "--brand", "pizza"]) == EXIT_OK
+    embedding = tmp_path / "embedding.tsv"
+    argv = ["embed", "--users", str(tmp_path / "users.txt"), "--metadata", str(tmp_path),
+            "--target", "pizza_brand", "--embedding", str(embedding),
+            "--plot", str(tmp_path / "plot.svg")]
+    source = str(Path(brandmatch.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", "import sys\nfrom brandmatch.cli import main\n"
+                    "sys.exit(main(sys.argv[1:]))", *argv], capture_output=True, check=True,
+                   env={**os.environ, "PYTHONPATH": source, "OPENBLAS_CORETYPE": coretype})
+    assert hashlib.sha256(embedding.read_bytes()).hexdigest() == \
+        QUICK_START_SHA256["embedding.tsv"]
 
 
 @pytest.mark.parametrize("weighting, digest", [

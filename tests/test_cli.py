@@ -274,16 +274,6 @@ def test_embed_single_profile_exits_too_few_profiles(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_embed_jacobi_sweep_cap_warns_without_changing_exit(fixture_dir, tmp_path,
-                                                            capsys, monkeypatch):
-    monkeypatch.setattr(embedding, "_JACOBI_SWEEP_CAP", 1)
-    code = main(["embed", *_pipeline_args(fixture_dir, "--target", "dogs_brand",
-                                          "--embedding", str(tmp_path / "e.tsv"),
-                                          "--plot", str(tmp_path / "p.svg"))])
-    assert code == EXIT_OK
-    assert "warning: Jacobi stopped after 1 sweeps" in capsys.readouterr().err
-
-
 def test_embed_smacof_cap_warns_without_changing_exit(fixture_dir, tmp_path, capsys,
                                                      monkeypatch):
     monkeypatch.setattr(cli, "smacof_refine",

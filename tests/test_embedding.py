@@ -17,8 +17,7 @@ from brandmatch import (
     smacof_refine,
     stress,
 )
-from brandmatch import embedding
-from brandmatch.embedding import jacobi_eigh
+from brandmatch.embedding import _top_eigenpairs
 
 
 def _random_symmetric(rng, n):
@@ -34,69 +33,40 @@ def _rel_distance_error(distances, coordinates):
 
 # --- eigensolver -----------------------------------------------------------
 
-def test_jacobi_reconstructs_random_symmetric_matrices():
-    rng = np.random.RandomState(2)
-    for n in list(range(2, 31)) + [1]:
-        a = _random_symmetric(rng, n)
-        eigenvalues, eigenvectors = jacobi_eigh(a)
-        rebuilt = eigenvectors @ np.diag(eigenvalues) @ eigenvectors.T
-        assert np.linalg.norm(rebuilt - a) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
-        assert np.allclose(eigenvectors.T @ eigenvectors, np.eye(n), atol=1e-10)
-
-
-def test_jacobi_eigenvalues_descending():
-    rng = np.random.RandomState(9)
-    values, _ = jacobi_eigh(_random_symmetric(rng, 12))
-    assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_jacobi_on_diagonal_matrix():
-    values, vectors = jacobi_eigh(np.diag([3.0, -1.0, 7.0]))
-    assert values.tolist() == [7.0, 3.0, -1.0]
-    assert np.abs(vectors).tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-
-
-def test_jacobi_deterministic():
-    rng = np.random.RandomState(31)
-    for n in (17, 40):
-        a = _random_symmetric(rng, n)
-        first_vals, first_vecs = jacobi_eigh(a)
-        second_vals, second_vecs = jacobi_eigh(a)
-        assert np.array_equal(first_vals, second_vals)
-        assert np.array_equal(first_vecs, second_vecs)
+def _assert_orthonormal_eigenpairs(a, values, vectors):
+    """Residual and orthonormality: they hold whichever vectors a tied eigenvalue gets."""
+    scale = max(np.linalg.norm(a), 1e-300)
+    for value, vector in zip(values, vectors.T):
+        assert np.linalg.norm(a @ vector - value * vector) <= 1e-12 * scale
+    assert np.abs(vectors.T @ vectors - np.eye(values.size)).max() <= 1e-12
 
 
 def _assert_matches_lapack(a):
-    """Eigenvalues to 1e-10 of the matrix norm; eigenvectors up to sign where
-    the eigenvalue is simple, and as a spanned subspace where it repeats."""
-    values, vectors = jacobi_eigh(a)
+    """The min(2, n) largest eigenvalues to 1e-12 of the matrix norm, and their
+    vectors up to sign where the eigenvalue is apart from every other one."""
+    n = a.shape[0]
+    values, vectors = _top_eigenpairs(a)
+    assert values.shape == (min(2, n),) and vectors.shape == (n, min(2, n))
     reference_values, reference_vectors = np.linalg.eigh(a)
-    reference_values = reference_values[::-1]
-    reference_vectors = reference_vectors[:, ::-1]
+    reference_values, reference_vectors = reference_values[::-1], reference_vectors[:, ::-1]
     scale = max(np.linalg.norm(a), 1e-300)
-    assert np.abs(values - reference_values).max() <= 1e-10 * scale
-    assert np.allclose(vectors.T @ vectors, np.eye(a.shape[0]), atol=1e-10)
-    separation = 1e-6 * scale
-    start = 0
-    for stop in range(1, a.shape[0] + 1):
-        if stop < a.shape[0] and reference_values[stop - 1] - reference_values[stop] <= separation:
-            continue
-        got = vectors[:, start:stop]
-        want = reference_vectors[:, start:stop]
-        if stop - start == 1:
-            assert abs(float(got[:, 0] @ want[:, 0])) == pytest.approx(1.0, abs=1e-8)
-        else:
-            assert np.allclose(got @ got.T, want @ want.T, atol=1e-8)
-        start = stop
+    assert np.abs(values - reference_values[:values.size]).max() <= 1e-12 * scale
+    _assert_orthonormal_eigenpairs(a, values, vectors)
+    for j in range(values.size):
+        others = np.delete(reference_values, j)
+        if np.abs(others - reference_values[j]).min(initial=np.inf) > 1e-6 * scale:
+            assert abs(float(vectors[:, j] @ reference_vectors[:, j])) == \
+                pytest.approx(1.0, abs=1e-8)
 
 
-def test_jacobi_matches_lapack_on_random_symmetric_matrices():
+def test_top_eigenpairs_match_lapack_on_random_symmetric_matrices():
     rng = np.random.RandomState(59)
     for n in (1, 2, 3, 4, 5, 8, 13, 32, 47, 64, 79, 80):
-        _assert_matches_lapack(_random_symmetric(rng, n))
+        _assert_matches_lapack(_random_symmetric(rng, n))  # indefinite
 
 
-def test_jacobi_matches_lapack_on_repeated_eigenvalues():
+def test_top_eigenpairs_on_tied_eigenvalues():
+    _assert_matches_lapack(np.diag([2.0, 2.0, 2.0, 1.0]))
     rng = np.random.RandomState(61)
     for spectrum in ([5.0, 5.0, 5.0, 1.0, 1.0, -2.0, 0.0, 0.0],
                      [3.0] * 7,
@@ -106,27 +76,41 @@ def test_jacobi_matches_lapack_on_repeated_eigenvalues():
         _assert_matches_lapack((a + a.T) / 2)
 
 
-def test_jacobi_on_zero_and_diagonal_matrices():
-    for n in (1, 4, 9):
-        values, vectors = jacobi_eigh(np.zeros((n, n)))
+def test_top_eigenpairs_on_zero_and_diagonal_matrices():
+    for n in (1, 2, 4, 9):
+        values, vectors = _top_eigenpairs(np.zeros((n, n)))
         assert not values.any()
-        assert np.array_equal(vectors, np.eye(n))
+        _assert_orthonormal_eigenpairs(np.zeros((n, n)), values, vectors)
+    values, vectors = _top_eigenpairs(np.diag([3.0, -1.0, 7.0]))
+    assert values == pytest.approx([7.0, 3.0], abs=1e-14)
+    assert np.abs(vectors) == pytest.approx(np.eye(3)[:, [2, 0]], abs=1e-14)
     diagonal = np.diag([2.0, 5.0, 2.0, -1.0, 5.0])
-    values, vectors = jacobi_eigh(diagonal)
-    assert values.tolist() == [5.0, 5.0, 2.0, 2.0, -1.0]
-    # no rotation runs, and the stable sort keeps row order among ties
-    assert np.array_equal(vectors, np.eye(5)[:, [1, 4, 0, 2, 3]])
+    values, vectors = _top_eigenpairs(diagonal)
+    assert values == pytest.approx([5.0, 5.0], abs=1e-14)
+    _assert_orthonormal_eigenpairs(diagonal, values, vectors)
 
 
-def test_jacobi_warns_when_sweep_cap_reached(monkeypatch):
-    a = _random_symmetric(np.random.RandomState(67), 12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        jacobi_eigh(a)
-    monkeypatch.setattr(embedding, "_JACOBI_SWEEP_CAP", 1)
-    with pytest.warns(RuntimeWarning, match="off-diagonal norm"):
-        values, _ = jacobi_eigh(a)
-    assert values.shape == (12,)
+def test_top_eigenpairs_on_centred_low_rank_grams():
+    rng = np.random.RandomState(83)
+    for rank in (1, 2, 3):
+        points = rng.rand(30, rank) @ rng.rand(rank, 12)
+        centred = points - points.mean(axis=0)
+        gram = centred.T @ centred
+        _assert_matches_lapack(gram)
+        if rank == 1:
+            values, _ = _top_eigenpairs(gram)
+            assert abs(values[1]) <= 1e-12 * values[0]
+
+
+def test_top_eigenpairs_deterministic():
+    rng = np.random.RandomState(31)
+    points = rng.poisson(2.0, size=(60, 40)).astype(float)
+    centred = points - points.mean(axis=0)
+    for a in (_random_symmetric(rng, 17), _random_symmetric(rng, 40), centred.T @ centred):
+        first_values, first_vectors = _top_eigenpairs(a)
+        second_values, second_vectors = _top_eigenpairs(a)
+        assert np.array_equal(first_values, second_values)
+        assert np.array_equal(first_vectors, second_vectors)
 
 
 # --- stress ----------------------------------------------------------------

@@ -1,19 +1,20 @@
-"""The embedding kernels against frozen copies of their earlier, plainer versions.
+"""The embedding kernels against plainer references.
 
-``_reference_jacobi_eigh`` rotates A and V as separate arrays, and
 ``_reference_smacof`` builds the Guttman matrix B through the m x m x 2
 difference tensor and sums the stress over ``np.triu_indices``. The current
-Jacobi must agree bit for bit; the current SMACOF must take the same number of
-iterations and land within 1e-12 of the reference.
+SMACOF must take the same number of iterations and land within 1e-12 of it.
 
 ``_reference_classical_mds`` solves the V x V problem on every raw centred
-column (V < m), without merging equal columns. The merged-column path must
-land within 1e-12 of it, relative to the RMS radius. Either Gram side must
-land within 1e-10 of LAPACK on the centred rows' m x m Gram matrix, and at
-m = 501 of LAPACK on the double-centred distances.
+column (V < m) with LAPACK, without merging equal columns. The merged-column
+path must land within 1e-12 of it, relative to the RMS radius. Either Gram side
+must land within 1e-10 of LAPACK on the centred rows' m x m Gram matrix, and at
+m = 501 of LAPACK on the double-centred distances; the eigensolver alone must
+land within 1e-10 of LAPACK on centred Poisson Gram matrices of order 200 and 400.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -32,59 +33,7 @@ from brandmatch import (
     synthesize_document,
     tfidf_transform,
 )
-from brandmatch.embedding import jacobi_eigh
-
-
-def _reference_round_robin(n):
-    size = n + n % 2
-    others = list(range(1, size))
-    rounds = []
-    for _ in range(size - 1):
-        ring = [0] + others
-        pairs = [(min(p, q), max(p, q))
-                 for p, q in zip(ring[:size // 2], ring[::-1]) if max(p, q) < n]
-        rounds.append((np.array([p for p, _ in pairs], dtype=np.intp),
-                       np.array([q for _, q in pairs], dtype=np.intp)))
-        others = others[-1:] + others[:-1]
-    return rounds
-
-
-def _reference_jacobi_eigh(matrix):
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    frobenius = float(np.linalg.norm(a))
-    if n > 1 and frobenius > 0.0:
-        threshold = 1e-12 * frobenius
-        upper = np.triu_indices(n, k=1)
-        rounds = _reference_round_robin(n)
-        for _ in range(100):
-            if np.sqrt(2.0 * float((a[upper] ** 2).sum())) < threshold:
-                break
-            for p, q in rounds:
-                apq = a[p, q]
-                live = apq != 0.0
-                if not live.all():
-                    p, q, apq = p[live], q[live], apq[live]
-                    if p.size == 0:
-                        continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = a[:, p], a[:, q]
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :], a[q, :]
-                a[p, :] = c[:, np.newaxis] * row_p - s[:, np.newaxis] * row_q
-                a[q, :] = s[:, np.newaxis] * row_p + c[:, np.newaxis] * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p], v[:, q]
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+from brandmatch.embedding import _top_eigenpairs
 
 
 def _reference_embedded_distances(coordinates):
@@ -120,11 +69,6 @@ def _reference_smacof(distances, coordinates, max_iter=300, tol=1e-6):
     return x - x.mean(axis=0), history
 
 
-def _random_symmetric(rng, n):
-    a = rng.rand(n, n) * 2 - 1
-    return (a + a.T) / 2
-
-
 def _synth_matrix(seed, weighting):
     spec = FixtureSpec(seed=seed, users_per_category=5, posts_per_user=20)
     profiles = list(generate_profile_set(spec).profiles)
@@ -132,46 +76,6 @@ def _synth_matrix(seed, weighting):
     documents = [synthesize_document(p) for p in profiles]
     matrix = count_vectorize(documents, build_vocabulary(documents))
     return tfidf_transform(matrix) if weighting == "tfidf" else matrix
-
-
-def _assert_jacobi_identical(a):
-    values, vectors = jacobi_eigh(a)
-    reference_values, reference_vectors = _reference_jacobi_eigh(a)
-    assert np.array_equal(values, reference_values)
-    assert np.array_equal(vectors, reference_vectors)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 20, 33])
-def test_jacobi_identical_on_odd_and_even_n(n):
-    _assert_jacobi_identical(_random_symmetric(np.random.RandomState(100 + n), n))
-
-
-def test_jacobi_identical_on_repeated_eigenvalues():
-    rng = np.random.RandomState(71)
-    for spectrum in ([4.0, 4.0, 4.0, 1.0, 1.0, -3.0, 0.0], [2.0] * 6,
-                     [1.0, 1.0, -1.0, -1.0, 0.25, 0.25, 0.25, 9.0]):
-        q, _ = np.linalg.qr(rng.rand(len(spectrum), len(spectrum)))
-        a = q @ np.diag(spectrum) @ q.T
-        _assert_jacobi_identical((a + a.T) / 2)
-
-
-def test_jacobi_identical_with_exactly_zero_pairs():
-    rng = np.random.RandomState(73)
-    for n in (6, 9):
-        a = _random_symmetric(rng, n)
-        a[rng.rand(n, n) < 0.5] = 0.0
-        _assert_jacobi_identical(np.triu(a) + np.triu(a, 1).T)
-    blocks = np.zeros((7, 7))
-    blocks[:3, :3] = _random_symmetric(rng, 3)
-    blocks[3:, 3:] = _random_symmetric(rng, 4)
-    _assert_jacobi_identical(blocks)
-
-
-@pytest.mark.parametrize("weighting", ["counts", "tfidf"])
-def test_jacobi_identical_on_a_synth_gram_matrix(weighting):
-    values = _synth_matrix(3, weighting).values
-    centred = values - values.mean(axis=0)
-    _assert_jacobi_identical(centred.T @ centred)
 
 
 def _assert_smacof_close(distances, initial):
@@ -218,9 +122,10 @@ def _reference_fix_column_signs(coordinates):
 
 def _reference_classical_mds(points):
     centred = points - points.mean(axis=0)
-    eigenvalues, eigenvectors = jacobi_eigh(centred.T @ centred)
-    coordinates = centred @ eigenvectors[:, :2]
-    coordinates[:, eigenvalues[:2] <= 0.0] = 0.0
+    eigenvalues, eigenvectors = np.linalg.eigh(centred.T @ centred)
+    top = np.argsort(-eigenvalues)[:2]
+    coordinates = centred @ eigenvectors[:, top]
+    coordinates[:, eigenvalues[top] <= 0.0] = 0.0
     return _reference_fix_column_signs(coordinates)
 
 
@@ -235,7 +140,7 @@ def _lapack_centred_gram(points):
 
 
 def _lapack_double_centring(distances):
-    # the m x m problem solved by LAPACK: Jacobi takes about 40 s at m = 501
+    # the full m x m problem, solved by LAPACK
     m = distances.shape[0]
     centering = np.eye(m) - np.full((m, m), 1.0 / m)
     return _top_two(*np.linalg.eigh(-0.5 * centering @ (distances * distances) @ centering))
@@ -293,15 +198,33 @@ def test_classical_mds_matches_double_centring_at_m_501():
     (9, (42, 42)),
     (20, (42, 42)),
 ])
-def test_jacobi_solves_the_distinct_columns(monkeypatch, users_per_category, solved):
+def test_classical_mds_solves_the_distinct_columns(monkeypatch, users_per_category, solved):
     shapes = []
 
     def recording(matrix):
         shapes.append(np.shape(matrix))
-        return jacobi_eigh(matrix)
+        return _top_eigenpairs(matrix)
 
-    monkeypatch.setattr(brandmatch.embedding, "jacobi_eigh", recording)
+    monkeypatch.setattr(brandmatch.embedding, "_top_eigenpairs", recording)
     matrix = _synth_cli_matrix(users_per_category, "counts")
     assert matrix.values.shape[1] == 72
     classical_mds(points=matrix.values)
     assert shapes == [solved]
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_top_eigenpairs_match_lapack_on_poisson_grams(n):
+    # a vocabulary of n distinct columns: the V' x V' side at sizes the synth
+    # fixtures (V' = 42) never reach
+    points = np.random.RandomState(n).poisson(2.0, size=(n + 50, n)).astype(float)
+    centred = points - points.mean(axis=0)
+    gram = centred.T @ centred
+    started = time.perf_counter()
+    values, vectors = _top_eigenpairs(gram)
+    elapsed = time.perf_counter() - started
+    reference_values, reference_vectors = np.linalg.eigh(gram)
+    assert values == pytest.approx(reference_values[::-1][:2], rel=1e-12)
+    _assert_coordinates_close(_reference_fix_column_signs(centred @ vectors),
+                              _reference_fix_column_signs(centred @ reference_vectors[:, :-3:-1]),
+                              1e-10)
+    assert n < 400 or elapsed < 2.0, f"n = {n} took {elapsed:.2f} s"

@@ -59,6 +59,24 @@ def _assert_matches_lapack(a):
                 pytest.approx(1.0, abs=1e-8)
 
 
+def test_top_eigenpairs_residuals_on_random_symmetric_matrices():
+    rng = np.random.RandomState(2)
+    for n in list(range(2, 31)) + [1]:
+        a = _random_symmetric(rng, n)
+        values, vectors = _top_eigenpairs(a)
+        assert values.shape == (min(2, n),) and vectors.shape == (n, min(2, n))
+        _assert_orthonormal_eigenpairs(a, values, vectors)
+
+
+def test_top_eigenpairs_eigenvalues_descending():
+    rng = np.random.RandomState(9)
+    for n in (2, 3, 12, 25):
+        a = _random_symmetric(rng, n)
+        values, _ = _top_eigenpairs(a)
+        assert values[0] >= values[1]
+        assert values[0] >= np.linalg.eigvalsh(a).max() - 1e-12 * np.linalg.norm(a)
+
+
 def test_top_eigenpairs_match_lapack_on_random_symmetric_matrices():
     rng = np.random.RandomState(59)
     for n in (1, 2, 3, 4, 5, 8, 13, 32, 47, 64, 79, 80):
@@ -76,14 +94,17 @@ def test_top_eigenpairs_on_tied_eigenvalues():
         _assert_matches_lapack((a + a.T) / 2)
 
 
+def test_top_eigenpairs_on_diagonal_matrix():
+    values, vectors = _top_eigenpairs(np.diag([3.0, -1.0, 7.0]))
+    assert values == pytest.approx([7.0, 3.0], abs=1e-14)
+    assert np.abs(vectors) == pytest.approx(np.eye(3)[:, [2, 0]], abs=1e-14)
+
+
 def test_top_eigenpairs_on_zero_and_diagonal_matrices():
     for n in (1, 2, 4, 9):
         values, vectors = _top_eigenpairs(np.zeros((n, n)))
         assert not values.any()
         _assert_orthonormal_eigenpairs(np.zeros((n, n)), values, vectors)
-    values, vectors = _top_eigenpairs(np.diag([3.0, -1.0, 7.0]))
-    assert values == pytest.approx([7.0, 3.0], abs=1e-14)
-    assert np.abs(vectors) == pytest.approx(np.eye(3)[:, [2, 0]], abs=1e-14)
     diagonal = np.diag([2.0, 5.0, 2.0, -1.0, 5.0])
     values, vectors = _top_eigenpairs(diagonal)
     assert values == pytest.approx([5.0, 5.0], abs=1e-14)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -67,13 +68,35 @@ def _load_documents(args: argparse.Namespace) -> tuple[list[ContentDocument], in
     del profile_set
     # The records were built with the collector paused. Freed, their tuples and floats
     # stay on CPython's free lists, which keep whole memory arenas in use; only a full
-    # collection empties those lists, so the arenas go back to the OS before numpy loads.
+    # collection empties those lists, so the arenas go back to the OS before embed's
+    # layout loads numpy.
     gc.collect()
     return documents, target_index, categories
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Reject an output path that names the user list, a listed metadata file or another output."""
+    def key(path: Path) -> object:  # a file's inode once it exists, else its resolved path
+        try:
+            status = path.stat()
+        except OSError:
+            return os.path.realpath(path)
+        return status.st_dev, status.st_ino
+
+    taken = {key(path): path for path in (args.users, *(
+        args.metadata / f"{username}.json" for username, _ in parse_user_list(args.users)))}
+    for name in ("export_matrix", "output", "embedding", "plot"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        other = taken.setdefault(key(path), path)
+        if other is not path:
+            raise ValueError(f"output path {path} names the same file as {other}")
+
+
 def _build_matrix(args: argparse.Namespace) -> tuple[DocTermMatrix, int, tuple, _Outputs]:
     """The matrix, the target's row, every row's category and the rendered ``--export-matrix``."""
+    _check_output_paths(args)
     documents, target_index, categories = _load_documents(args)
     vocabulary = build_vocabulary(documents)
     if not documents[target_index].tokens:
@@ -204,6 +227,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.brand is not None:
         username = args.brand_name or f"{args.brand}_brand"
         check_username(username)
+        if any(profile.username == username for profile in profiles):
+            raise ValueError(f"brand name {username!r} names a generated influencer")
         profiles.append(generate_brand_profile(spec, args.brand, username))
 
     args.out.mkdir(parents=True, exist_ok=True)

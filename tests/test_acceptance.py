@@ -63,7 +63,7 @@ def criterion(number: int, label: str, budget_seconds: float | None = None):
 
 def _count_matrix(values):
     values = np.asarray(values)
-    return DocTermMatrix(values=values,
+    return DocTermMatrix(rows=tuple(map(tuple, values.tolist())),
                          row_labels=tuple(f"u{i}" for i in range(values.shape[0])),
                          vocabulary=tuple(f"t{j}" for j in range(values.shape[1])))
 
@@ -264,6 +264,22 @@ def test_embed_plot_bytes_at_twenty_per_category(tmp_path, weighting, digest):
                         "--weighting", weighting, "--embedding", str(tmp_path / "e.tsv"),
                         "--plot", str(plot)]) == EXIT_OK
     assert hashlib.sha256(plot.read_bytes()).hexdigest() == digest
+
+
+def test_match_tfidf_bytes_at_twenty_per_category(tmp_path):
+    # the quick start pins counts outputs only; these pin TF-IDF's idf, row norms,
+    # distances and matrix export
+    assert _quiet_main(["synth", "--out", str(tmp_path), "--users-per-category", "20",
+                        "--brand", "pizza"]) == EXIT_OK
+    report, matrix = tmp_path / "report.txt", tmp_path / "matrix.tsv"
+    assert _quiet_main(["match", "--users", str(tmp_path / "users.txt"),
+                        "--metadata", str(tmp_path), "--target", "pizza_brand",
+                        "--weighting", "tfidf", "--output", str(report),
+                        "--export-matrix", str(matrix)]) == EXIT_OK
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        "8644546d2d0686c2f7e639da63821f55a6fadfe13e08e8168da61f61a5f7fc9f"
+    assert hashlib.sha256(matrix.read_bytes()).hexdigest() == \
+        "c700510401c77a69c5dfdd6979a4b63e9ea814a71a500a4881cfc5cd56188ea3"
 
 
 CORRUPTED_FILES = [

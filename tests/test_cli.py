@@ -8,6 +8,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -378,7 +379,7 @@ def _fresh_interpreter(program, *argv):
     return result.stdout.splitlines()[-1]
 
 
-def test_only_commands_that_build_a_matrix_load_numpy(fixture_dir, tmp_path):
+def test_only_embed_loads_numpy(fixture_dir, tmp_path):
     # pytest's own process already holds numpy, so each probe is a new interpreter
     for module in ("brandmatch", "brandmatch.cli"):
         probe = f"import sys, {module}; print('numpy' in sys.modules)"
@@ -388,13 +389,17 @@ def test_only_commands_that_build_a_matrix_load_numpy(fixture_dir, tmp_path):
     assert _fresh_interpreter(_RUN_MAIN, "validate", *pipeline) == "0 False"
     assert _fresh_interpreter(_RUN_MAIN, "synth", "--out", tmp_path / "s",
                               "--brand", "dogs") == "0 False"
+    assert _fresh_interpreter(_RUN_MAIN, "match", *pipeline) == "0 False"
+    assert _fresh_interpreter(_RUN_MAIN, "match", *pipeline, "--weighting", "tfidf",
+                              "--export-matrix", tmp_path / "m.tsv") == "0 False"
     # the probe does see numpy where a command needs it
-    assert _fresh_interpreter(_RUN_MAIN, "match", *pipeline) == "0 True"
+    assert _fresh_interpreter(_RUN_MAIN, "embed", *pipeline,
+                              *_output_args("embed", tmp_path)) == "0 True"
 
 
 @pytest.mark.parametrize("command", ["match", "embed"])
 def test_records_are_freed_before_the_matrix_stage(command, fixture_dir, tmp_path, monkeypatch):
-    # no Post may live into numpy's import, and no document into the m x m stage;
+    # no Post may live into the matrix stage, and no document into the m x m stage;
     # matched by id, so records that other tests keep alive do not count
     load, synthesize = cli.load_profile_set, cli.synthesize_document
     vectorize, distances = cli.count_vectorize, cli.pairwise_distances
@@ -638,6 +643,75 @@ def test_synth_brand_name_must_be_a_username(brand_name, tmp_path, capsys):
     assert _single_error_line(capsys.readouterr().err).startswith(
         f"error: invalid username {brand_name!r}")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_brand_name_must_not_name_an_influencer(tmp_path, capsys):
+    out = tmp_path / "fixture"
+    code = main(["synth", "--out", str(out), "--brand", "pizza", "--brand-name", "pizza_01"])
+    assert code == 2
+    assert _single_error_line(capsys.readouterr().err) == \
+        "error: brand name 'pizza_01' names a generated influencer"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _inputs_that_fail_to_load(fixture_dir, tmp_path):
+    """A copy of the fixture whose metadata, once read, exits 3: a listed file is gone."""
+    copy = tmp_path / "in"
+    shutil.copytree(fixture_dir, copy)
+    (copy / "cats_05.json").unlink()
+    return copy, {path.name: path.read_bytes() for path in copy.iterdir()}
+
+
+def _rejected_before_loading(argv, inputs, snapshot, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert {path.name: path.read_bytes() for path in inputs.iterdir()} == snapshot
+    return _single_error_line(captured.err)
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("embed", "--embedding", "--plot"),
+    ("embed", "--export-matrix", "--embedding"),
+    ("match", "--export-matrix", "--output"),
+])
+def test_two_outputs_naming_one_file_exit_usage(command, first, second, fixture_dir, tmp_path,
+                                                capsys):
+    inputs, snapshot = _inputs_that_fail_to_load(fixture_dir, tmp_path)
+    (tmp_path / "sub").mkdir()
+    one, other = tmp_path / "out.txt", tmp_path / "sub" / ".." / "out.txt"
+    argv = [command, *_pipeline_args(inputs, "--target", "dogs_brand"), *_output_args(
+        command, tmp_path), first, str(one), second, str(other)]
+    assert _rejected_before_loading(argv, inputs, snapshot, capsys) == \
+        f"error: output path {other} names the same file as {one}"
+    assert not one.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("match", "--output"), ("embed", "--plot")])
+@pytest.mark.parametrize("through_a_link", [False, True], ids=["path", "symlink"])
+def test_output_naming_the_user_list_exits_usage(command, flag, through_a_link, fixture_dir,
+                                                 tmp_path, capsys):
+    inputs, snapshot = _inputs_that_fail_to_load(fixture_dir, tmp_path)
+    output = inputs / "users.txt"
+    if through_a_link:
+        output = tmp_path / "link.txt"
+        output.symlink_to(inputs / "users.txt")
+    argv = [command, *_pipeline_args(inputs, "--target", "dogs_brand"),
+            *_output_args(command, tmp_path), flag, str(output)]
+    assert _rejected_before_loading(argv, inputs, snapshot, capsys) == \
+        f"error: output path {output} names the same file as {inputs / 'users.txt'}"
+
+
+@pytest.mark.parametrize("command, flag", [("match", "--export-matrix"),
+                                           ("embed", "--embedding")])
+def test_output_naming_a_metadata_file_exits_usage(command, flag, fixture_dir, tmp_path,
+                                                   capsys):
+    inputs, snapshot = _inputs_that_fail_to_load(fixture_dir, tmp_path)
+    output = inputs / "dogs_03.json"
+    argv = [command, *_pipeline_args(inputs, "--target", "dogs_brand"),
+            *_output_args(command, tmp_path), flag, str(output)]
+    assert _rejected_before_loading(argv, inputs, snapshot, capsys) == \
+        f"error: output path {output} names the same file as {output}"
 
 
 @pytest.mark.parametrize("command, flag, path", [

@@ -415,8 +415,8 @@ def test_smacof_deterministic():
 # --- non-finite input --------------------------------------------------------
 
 def _ranked(values):
-    return knn_match(DocTermMatrix(values=values, row_labels=("a", "b", "c"),
-                                   vocabulary=("x", "y")), 0)
+    return knn_match(DocTermMatrix(rows=tuple(map(tuple, values.tolist())),
+                                   row_labels=("a", "b", "c"), vocabulary=("x", "y")), 0)
 
 
 def _off_diagonal(values):

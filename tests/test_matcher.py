@@ -20,7 +20,7 @@ def _matrix(values, labels=None):
     values = np.asarray(values)
     m, n = values.shape
     labels = tuple(labels) if labels else tuple(f"u{i}" for i in range(m))
-    return DocTermMatrix(values=values, row_labels=labels,
+    return DocTermMatrix(rows=tuple(map(tuple, values.tolist())), row_labels=labels,
                          vocabulary=tuple(f"t{j}" for j in range(n)))
 
 
@@ -67,8 +67,12 @@ def _reject_values(values):
     message = rf"^expected a 2-D matrix of rows, got shape {re.escape(str(np.shape(values)))}$"
     with pytest.raises(BrandMatchError, match=message):
         pairwise_distances(values)
-    with pytest.raises(BrandMatchError, match=message):
-        knn_match(DocTermMatrix(values=values, row_labels=(), vocabulary=()), target_index=0)
+    # knn_match takes rows: a 0-D or 1-D array's are not sequences, a 3-D array's hold rows
+    width = np.shape(values)[1] if np.ndim(values) > 1 else 0
+    matrix = DocTermMatrix(rows=values.tolist(), row_labels=(),
+                           vocabulary=tuple(f"t{j}" for j in range(width)))
+    with pytest.raises(BrandMatchError, match="^expected rows of numbers$"):
+        knn_match(matrix, target_index=0)
 
 
 def test_euclidean_dimension_mismatch():
@@ -81,6 +85,19 @@ def test_euclidean_dimension_mismatch():
                          ids=["0-D", "3-D"])
 def test_values_that_are_not_2d_rejected(values):
     _reject_values(values)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((0.0, 1.0), (2.0,)), "^row 1 has 1 entries for 2 tokens$"),
+    (((0.0, 1.0, 2.0), (2.0, 3.0, 4.0)), "^row 0 has 3 entries for 2 tokens$"),
+    (((0.0, 1.0), ("a", 3.0)), "^expected rows of numbers$"),
+    (((0.0, None), (2.0, 3.0)), "^expected rows of numbers$"),
+    (((0.0, 10 ** 400), (2.0, 3.0)), "^expected rows of numbers$"),
+], ids=["short", "long", "string", "none", "beyond_float"])
+def test_knn_rejects_ragged_or_non_numeric_rows(rows, message):
+    matrix = DocTermMatrix(rows=rows, row_labels=("u0", "u1"), vocabulary=("t0", "t1"))
+    with pytest.raises(BrandMatchError, match=message):
+        knn_match(matrix, target_index=0)
 
 
 def test_pairwise_single_row():
@@ -206,7 +223,7 @@ def test_knn_target_out_of_range():
 
 @pytest.mark.parametrize("labels", [("u0",), ("u0", "u1", "u2")], ids=["fewer", "more"])
 def test_knn_rejects_a_label_count_other_than_the_row_count(labels):
-    matrix = DocTermMatrix(values=np.array([[0], [1]]), row_labels=labels, vocabulary=("t0",))
+    matrix = DocTermMatrix(rows=((0,), (1,)), row_labels=labels, vocabulary=("t0",))
     with pytest.raises(BrandMatchError, match=f"^{len(labels)} row labels for 2 rows$"):
         knn_match(matrix, target_index=0)
 

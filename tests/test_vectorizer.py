@@ -131,8 +131,9 @@ def test_idf_non_increasing_in_document_frequency():
 def test_tfidf_requires_counts_input():
     docs = _docs(["aa"])
     counts = count_vectorize(docs, build_vocabulary(docs))
-    as_floats = DocTermMatrix(values=counts.values.astype(np.float64),
+    as_floats = DocTermMatrix(rows=tuple(tuple(map(float, row)) for row in counts.rows),
                               row_labels=counts.row_labels, vocabulary=counts.vocabulary)
+    assert as_floats.values.dtype == np.float64
     for matrix in (tfidf_transform(counts), as_floats):
         with pytest.raises(ValueError, match="^tfidf_transform expects a counts-weighted matrix$"):
             tfidf_transform(matrix)
@@ -166,13 +167,12 @@ def test_export_tsv_layout():
 
 
 def test_export_tsv_integers_for_integer_values_floats_otherwise():
-    for dtype in (np.int64, np.int32, np.uint8):
-        matrix = DocTermMatrix(values=np.array([[3, 0]], dtype=dtype), row_labels=("u0",),
-                               vocabulary=("aa", "bb"))
-        assert export_matrix_tsv(matrix) == "username\taa\tbb\nu0\t3\t0\n"
-    floats = DocTermMatrix(values=np.array([[3.0, 0.1]]), row_labels=("u0",),
-                           vocabulary=("aa", "bb"))
+    counts = DocTermMatrix(rows=((3, 0),), row_labels=("u0",), vocabulary=("aa", "bb"))
+    assert export_matrix_tsv(counts) == "username\taa\tbb\nu0\t3\t0\n"
+    assert counts.values.dtype == np.int64 and counts.values.tolist() == [[3, 0]]
+    floats = DocTermMatrix(rows=((3.0, 0.1),), row_labels=("u0",), vocabulary=("aa", "bb"))
     assert export_matrix_tsv(floats) == "username\taa\tbb\nu0\t3.0\t0.1\n"
+    assert floats.values.dtype == np.float64 and floats.values.tolist() == [[3.0, 0.1]]
 
 
 def _reference_count_values(documents, vocabulary):

@@ -172,6 +172,11 @@ def _build_profile(username: str, rows: list, category: Optional[str],
     return Profile(username, tuple(posts), category)
 
 
+def _reject_constant(name: str) -> None:
+    """``json``'s hook for ``NaN``, ``Infinity`` and ``-Infinity``, which are not JSON."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tuple]:
     """Decode and check one file; each kept post as ``Post``'s fields, tags as pairs.
 
@@ -179,7 +184,7 @@ def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tup
     """
     try:
         with path.open("r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=_reject_constant)
     except (FileNotFoundError, NotADirectoryError):
         raise MissingProfileFileError(f"{username}: no metadata file at {path}") from None
     except IsADirectoryError:

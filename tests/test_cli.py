@@ -400,9 +400,10 @@ def test_only_embed_loads_numpy(fixture_dir, tmp_path):
 @pytest.mark.parametrize("command", ["match", "embed"])
 def test_records_are_freed_before_the_matrix_stage(command, fixture_dir, tmp_path, monkeypatch):
     # no Post may live into the matrix stage, and no document into the m x m stage;
-    # matched by id, so records that other tests keep alive do not count
-    load, synthesize = cli.load_profile_set, cli.synthesize_document
-    vectorize, distances = cli.count_vectorize, cli.pairwise_distances
+    # matched by id, so records that other tests keep alive do not count. Documents are
+    # the ones count_vectorize receives: what synthesize_document returns is re-wrapped
+    # and freed at once, so its ids are reused
+    load, vectorize, distances = cli.load_profile_set, cli.count_vectorize, cli.pairwise_distances
     post_ids: set[int] = set()
     document_ids: set[int] = set()
     alive: dict[str, int] = {}
@@ -415,21 +416,16 @@ def test_records_are_freed_before_the_matrix_stage(command, fixture_dir, tmp_pat
         post_ids.update(id(post) for profile in profile_set.profiles for post in profile.posts)
         return profile_set
 
-    def recording_synthesize(*args, **kwargs):
-        document = synthesize(*args, **kwargs)
-        document_ids.add(id(document))
-        return document
-
-    def checked_vectorize(*args, **kwargs):
+    def checked_vectorize(documents, *args, **kwargs):
         alive["posts"] = live(Post, post_ids)
-        return vectorize(*args, **kwargs)
+        document_ids.update(id(document) for document in documents)
+        return vectorize(documents, *args, **kwargs)
 
     def checked_distances(*args, **kwargs):
         alive["documents"] = live(ContentDocument, document_ids)
         return distances(*args, **kwargs)
 
     for name, spy in (("load_profile_set", recording_load),
-                      ("synthesize_document", recording_synthesize),
                       ("count_vectorize", checked_vectorize),
                       ("pairwise_distances", checked_distances)):
         monkeypatch.setattr(cli, name, spy)
@@ -437,6 +433,22 @@ def test_records_are_freed_before_the_matrix_stage(command, fixture_dir, tmp_pat
                  *_output_args(command, tmp_path)]) == EXIT_OK
     assert len(post_ids) == 26 * 20 and len(document_ids) == 26
     assert alive == ({"posts": 0} if command == "match" else {"posts": 0, "documents": 0})
+
+
+@pytest.mark.parametrize("command", ["match", "embed"])
+def test_documents_share_one_string_per_token(command, fixture_dir, tmp_path, monkeypatch):
+    vectorize, received = cli.count_vectorize, []
+
+    def recording_vectorize(documents, *args, **kwargs):
+        received.extend(documents)
+        return vectorize(documents, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "count_vectorize", recording_vectorize)
+    assert main([command, *_pipeline_args(fixture_dir, "--target", "dogs_brand"),
+                 *_output_args(command, tmp_path)]) == EXIT_OK
+    tokens = [token for document in received for token in document.tokens]
+    assert len(received) == 26 and len(tokens) > len(set(tokens))
+    assert len({id(token) for token in tokens}) == len(set(tokens))
 
 
 def test_embed_deterministic(fixture_dir, tmp_path):

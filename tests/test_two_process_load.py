@@ -20,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import brandmatch
-from brandmatch import BrandMatchError, load_profile_set
+from brandmatch import BrandMatchError, MalformedFileError, load_profile, load_profile_set
 from brandmatch import profile_store
 from brandmatch.cli import main
+from brandmatch.errors import EXIT_MALFORMED
 from helpers import image_post, write_profile_file, write_user_list
 
 # a non-BMP character, a lone surrogate (JSON escapes it as \udc80), and scores
@@ -125,6 +126,31 @@ def test_fork_and_plain_loop_agree(m, defect, position, tmp_path, forced, capsys
             struct.pack("<d", score) for score in SCORES]
     else:
         assert loaded[1].startswith(f"user{position}: ")
+
+
+@pytest.mark.parametrize("where", ["ignored key", "image_scores"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_constants_are_invalid_json(constant, where, tmp_path, forced, capsys):
+    # Python's json reads these three literals; JSON has none of them
+    post = image_post(["dog"], [0.9])
+    if where == "image_scores":
+        post["image_scores"] = [float(constant)]
+    else:
+        post["unknown"] = float(constant)
+    write_profile_file(tmp_path, "user0", [image_post(["cat"], [0.8])])
+    path = write_profile_file(tmp_path, "user1", [post])  # the child's half when forked
+    assert constant in path.read_text(encoding="utf-8")
+    users = write_user_list(tmp_path, ["user0", "user1"])
+    message = f"user1: invalid JSON in {path}: {constant} is not a JSON value"
+    with pytest.raises(MalformedFileError) as error:
+        load_profile(path, "user1")
+    assert str(error.value) == message
+    for mode in ("fork", "plain"):
+        forced(mode)
+        assert _load(users, tmp_path) == (MalformedFileError, message)
+        assert main(["match", "--users", str(users), "--metadata", str(tmp_path),
+                     "--target", "user0"]) == EXIT_MALFORMED
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _raise_at(bad):

@@ -9,7 +9,7 @@ profile space.
 __version__ = "0.1.0"
 
 from .content_synthesis import ContentDocument, synthesize_document, tokenize
-from .embedding import Embedding2D, classical_mds, smacof_refine, stress
+from .embedding import Embedding2D, classical_mds, pairwise_distances, smacof_refine, stress
 from .errors import (
     BrandMatchError,
     EmptyCorpusError,
@@ -23,7 +23,7 @@ from .fixtures import (
     generate_brand_profile,
     generate_profile_set,
 )
-from .matcher import MatchResult, knn_match, pairwise_distances
+from .matcher import MatchResult, knn_match
 from .profile_store import (
     Post,
     Profile,

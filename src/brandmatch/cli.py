@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__
 from .content_synthesis import DEFAULT_TOP_K, ContentDocument, synthesize_document
-from .embedding import classical_mds, smacof_refine
+from .embedding import classical_mds, pairwise_distances, smacof_refine
 from .errors import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -34,7 +34,7 @@ from .fixtures import (
     generate_brand_profile,
     generate_profile_set,
 )
-from .matcher import DEFAULT_K, knn_match, pairwise_distances
+from .matcher import DEFAULT_K, knn_match
 from .profile_store import (
     DEFAULT_IMAGE_CAP,
     _map_in_two_processes,

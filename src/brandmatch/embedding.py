@@ -22,7 +22,8 @@ coordinate column. Otherwise it is the m x m ``M * M^T`` itself.
 Only the top two eigenpairs are computed, by a tridiagonal solver. Nothing
 here uses randomness or BLAS, whose kernels round differently on different
 CPUs: every product is built from numpy row sums. So identical inputs give
-bit-identical embeddings.
+bit-identical embeddings. This is the package's one module of array code:
+``pairwise_distances`` and each layout stage check the arrays they take (2-D, finite).
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import BrandMatchError, EmptyCorpusError
-from .matcher import _check_finite, _float_rows
 
-# numpy is imported inside the functions that compute, so validate and synth never load it
+# numpy is imported inside the functions that compute, so validate, synth and match never load it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -46,6 +46,33 @@ DEFAULT_TOL = 1e-6
 class Embedding2D:
     coordinates: np.ndarray
     stress: float
+
+
+def _check_finite(array: np.ndarray, name: str) -> None:
+    import numpy as np
+    if not np.isfinite(array).all():
+        raise BrandMatchError(f"{name} has a NaN or infinite entry")
+
+
+def _float_rows(values: np.ndarray) -> np.ndarray:
+    import numpy as np
+    rows = np.asarray(values, dtype=np.float64)
+    if rows.ndim != 2:
+        raise BrandMatchError(f"expected a 2-D matrix of rows, got shape {rows.shape}")
+    _check_finite(rows, "row matrix")
+    return rows
+
+
+def pairwise_distances(values: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of an m x V array, each unordered pair once."""
+    import numpy as np
+    rows = _float_rows(values)
+    m = rows.shape[0]
+    out = np.zeros((m, m), dtype=np.float64)
+    for i in range(m - 1):
+        diff = rows[i + 1:] - rows[i]
+        out[i, i + 1:] = np.sqrt((diff * diff).sum(axis=-1))
+    return out + out.T
 
 
 def _check_distance_matrix(distances: np.ndarray) -> np.ndarray:

@@ -1,23 +1,19 @@
 """Rank influencer rows by Euclidean proximity to the target brand row.
 
-Exact brute-force search: at tens of profiles, determinism and a trivially
-auditable tie-break (ascending row index) beat any spatial index.
+Exact brute-force search in plain Python, on rows a ``DocTermMatrix`` checked when built:
+at tens of profiles, determinism and an auditable tie-break (row index) beat any spatial index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
-from math import isfinite, sqrt
+from itertools import compress
+from math import sqrt
 from operator import mul, sub
-from typing import TYPE_CHECKING
 
-from .errors import BrandMatchError, EmptyCorpusError, UnknownTargetError
+from .errors import EmptyCorpusError, UnknownTargetError
 from .vectorizer import DocTermMatrix, _row_sum
 
-# numpy is imported only by pairwise_distances, so validate, synth and match never load it
-if TYPE_CHECKING:
-    import numpy as np
 DEFAULT_K = 5
 
 
@@ -34,33 +30,6 @@ class MatchResult:
         return "\n".join(lines) + "\n"
 
 
-def _float_rows(values: np.ndarray) -> np.ndarray:
-    import numpy as np
-    rows = np.asarray(values, dtype=np.float64)
-    if rows.ndim != 2:
-        raise BrandMatchError(f"expected a 2-D matrix of rows, got shape {rows.shape}")
-    _check_finite(rows, "row matrix")
-    return rows
-
-
-def _check_finite(array: np.ndarray, name: str) -> None:
-    import numpy as np
-    if not np.isfinite(array).all():
-        raise BrandMatchError(f"{name} has a NaN or infinite entry")
-
-
-def pairwise_distances(values: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of an m x V array, each unordered pair once."""
-    import numpy as np
-    rows = _float_rows(values)
-    m = rows.shape[0]
-    out = np.zeros((m, m), dtype=np.float64)
-    for i in range(m - 1):
-        diff = rows[i + 1:] - rows[i]
-        out[i, i + 1:] = np.sqrt((diff * diff).sum(axis=-1))
-    return out + out.T
-
-
 def knn_match(matrix: DocTermMatrix, target_index: int, k: int = DEFAULT_K) -> MatchResult:
     """The min(k, m-1) non-target rows closest to the target row, ascending by distance.
 
@@ -70,19 +39,8 @@ def knn_match(matrix: DocTermMatrix, target_index: int, k: int = DEFAULT_K) -> M
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    try:
-        finite = all(map(isfinite, chain.from_iterable(matrix.rows)))
-    except (TypeError, OverflowError):
-        raise BrandMatchError("expected rows of numbers") from None
     columns = range(len(matrix.vocabulary))
-    for i, row in enumerate(matrix.rows):
-        if len(row) != len(columns):
-            raise BrandMatchError(f"row {i} has {len(row)} entries for {len(columns)} tokens")
-    if not finite:
-        raise BrandMatchError("row matrix has a NaN or infinite entry")
     m = len(matrix.rows)
-    if len(matrix.row_labels) != m:
-        raise BrandMatchError(f"{len(matrix.row_labels)} row labels for {m} rows")
     if not 0 <= target_index < m:
         raise UnknownTargetError(f"target index {target_index} outside 0..{m - 1}")
     if m < 2:

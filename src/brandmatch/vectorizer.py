@@ -18,12 +18,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, filterfalse, repeat
-from math import log, sqrt
+from math import isfinite, log, sqrt
 from operator import add, is_not, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .content_synthesis import ContentDocument
-from .errors import EmptyCorpusError
+from .errors import BrandMatchError, EmptyCorpusError
 
 # numpy is imported only to build ``values``, so validate, synth and match never load it
 if TYPE_CHECKING:
@@ -35,13 +35,28 @@ class DocTermMatrix:
     """Rows are profiles, columns the vocabulary's tokens.
 
     ``rows`` holds one tuple per profile, one entry per token: Python ints for
-    counts, floats once weighted. ``values`` is the same matrix as an m x V
-    numpy array (int64 for counts, else float64), built on first use and kept.
+    counts, floats once weighted. Building a matrix checks it: numbers, one per
+    token, finite, one label per row, else BrandMatchError. ``values`` is the same
+    matrix as an m x V numpy array (int64 for counts, else float64), built on first use and kept.
     """
 
     rows: tuple[tuple, ...]
     row_labels: tuple[str, ...]
     vocabulary: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        try:
+            finite = all(map(isfinite, chain.from_iterable(self.rows)))
+        except (TypeError, OverflowError):
+            raise BrandMatchError("expected rows of numbers") from None
+        m, width = len(self.rows), len(self.vocabulary)
+        for i, row in enumerate(self.rows):
+            if len(row) != width:
+                raise BrandMatchError(f"row {i} has {len(row)} entries for {width} tokens")
+        if not finite:
+            raise BrandMatchError("row matrix has a NaN or infinite entry")
+        if len(self.row_labels) != m:
+            raise BrandMatchError(f"{len(self.row_labels)} row labels for {m} rows")
 
     @cached_property
     def values(self) -> np.ndarray:

@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BrandMatchError, UnknownTargetError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # 10 distinguishable category colors, assigned in order of each category's first row.
 PALETTE = (
@@ -43,11 +40,26 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _viewport_transform(coordinates):
-    xs = coordinates[:, 0]
-    ys = coordinates[:, 1]
-    x_min, x_max = float(xs.min()), float(xs.max())
-    y_min, y_max = float(ys.min()), float(ys.max())
+def _finite_points(coordinates) -> list[tuple[float, float]]:
+    """The rows of m x 2 ``coordinates`` as (x, y) pairs of finite floats, else BrandMatchError."""
+    from numbers import Real  # here, so match and validate, which draw no plot, never load it
+    try:
+        points = [(x, y) for x, y in coordinates]
+        numeric = all(isinstance(x, Real) and isinstance(y, Real) for x, y in points)
+        finite = numeric and all(math.isfinite(x) and math.isfinite(y) for x, y in points)
+    except (TypeError, ValueError, OverflowError):
+        numeric = False
+    if not numeric:
+        raise BrandMatchError("expected m x 2 coordinates of numbers")
+    if not finite:
+        raise BrandMatchError("coordinate array has a NaN or infinite entry")
+    return [(float(x), float(y)) for x, y in points]
+
+
+def _viewport_transform(points: list[tuple[float, float]]):
+    xs, ys = zip(*points)
+    x_min, x_max = min(xs), max(xs)
+    y_min, y_max = min(ys), max(ys)
     pad_x = _PAD_FRACTION * (x_max - x_min)
     pad_y = _PAD_FRACTION * (y_max - y_min)
     x0, x1 = x_min - pad_x, x_max + pad_x
@@ -81,7 +93,7 @@ def _star_path(cx: float, cy: float, outer: float = _STAR_OUTER) -> str:
     return "M " + " L ".join(points) + " Z"
 
 
-def emit_scatter_svg(coordinates: np.ndarray, labels: Sequence[str],
+def emit_scatter_svg(coordinates: Sequence[Sequence[float]], labels: Sequence[str],
                      categories: Sequence[Optional[str]], title: str,
                      target_index: Optional[int] = None) -> str:
     """Render m x 2 coordinates, one label and category per row, as an SVG 1.1 string.
@@ -89,9 +101,11 @@ def emit_scatter_svg(coordinates: np.ndarray, labels: Sequence[str],
     Categories take palette colors in order of first appearance, skipping the
     target row; the legend lists them in that order, then the target. When the
     star is drawn, other rows of category ``target`` share its gold and its legend row.
-    A text holding a character XML 1.0 forbids raises BrandMatchError naming its row.
+    Coordinates other than finite m x 2 numbers, or a text holding a character
+    XML 1.0 forbids, raise BrandMatchError (the latter naming its row).
     """
-    m = coordinates.shape[0]
+    points = _finite_points(coordinates)
+    m = len(points)
     if m < 1:
         raise ValueError("embedding has no rows")
     if len(labels) != m or len(categories) != m:
@@ -111,7 +125,7 @@ def emit_scatter_svg(coordinates: np.ndarray, labels: Sequence[str],
             colors.setdefault(category, PALETTE[len(colors) % len(PALETTE)])
     if star:
         colors["target"] = TARGET_COLOR
-    to_pixel = _viewport_transform(coordinates)
+    to_pixel = _viewport_transform(points)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -124,7 +138,7 @@ def emit_scatter_svg(coordinates: np.ndarray, labels: Sequence[str],
         f'{_escape(title)}</text>',
     ]
 
-    pixels = [to_pixel(float(x), float(y)) for x, y in coordinates]
+    pixels = [to_pixel(x, y) for x, y in points]
     for i, (px, py) in enumerate(pixels):
         if i == target_index:
             parts.append(f'<path class="target" d="{_star_path(px, py)}" '

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import builtins
 import errno
 import functools
@@ -395,6 +396,34 @@ def test_only_embed_loads_numpy(fixture_dir, tmp_path):
     # the probe does see numpy where a command needs it
     assert _fresh_interpreter(_RUN_MAIN, "embed", *pipeline,
                               *_output_args("embed", tmp_path)) == "0 True"
+
+
+def _numpy_imports(node, where):
+    """(where, line) of each numpy import under ``node``, leaving out ``if TYPE_CHECKING:``."""
+    if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+            and node.test.id == "TYPE_CHECKING":
+        return
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        where = f"{where}.{node.name}"
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+    if any(name == "numpy" or name.startswith("numpy.") for name in names):
+        yield where, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _numpy_imports(child, where)
+
+
+def test_numpy_is_imported_only_by_embedding_and_matrix_values():
+    # the static side of the probe above: array code lives in embedding, and
+    # DocTermMatrix.values is the one way from a matrix to an array
+    package = Path(brandmatch.__file__).parent
+    found = [(where, line) for path in sorted(package.glob("*.py"))
+             for where, line in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")),
+                                               path.stem)]
+    assert [where for where, _ in found if not where.startswith("embedding")] == \
+        ["vectorizer.DocTermMatrix.values"], found
 
 
 @pytest.mark.parametrize("command", ["match", "embed"])

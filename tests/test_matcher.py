@@ -69,9 +69,9 @@ def _reject_values(values):
         pairwise_distances(values)
     # knn_match takes rows: a 0-D or 1-D array's are not sequences, a 3-D array's hold rows
     width = np.shape(values)[1] if np.ndim(values) > 1 else 0
-    matrix = DocTermMatrix(rows=values.tolist(), row_labels=(),
-                           vocabulary=tuple(f"t{j}" for j in range(width)))
     with pytest.raises(BrandMatchError, match="^expected rows of numbers$"):
+        matrix = DocTermMatrix(rows=values.tolist(), row_labels=(),
+                               vocabulary=tuple(f"t{j}" for j in range(width)))
         knn_match(matrix, target_index=0)
 
 
@@ -95,8 +95,8 @@ def test_values_that_are_not_2d_rejected(values):
     (((0.0, 10 ** 400), (2.0, 3.0)), "^expected rows of numbers$"),
 ], ids=["short", "long", "string", "none", "beyond_float"])
 def test_knn_rejects_ragged_or_non_numeric_rows(rows, message):
-    matrix = DocTermMatrix(rows=rows, row_labels=("u0", "u1"), vocabulary=("t0", "t1"))
     with pytest.raises(BrandMatchError, match=message):
+        matrix = DocTermMatrix(rows=rows, row_labels=("u0", "u1"), vocabulary=("t0", "t1"))
         knn_match(matrix, target_index=0)
 
 
@@ -223,8 +223,8 @@ def test_knn_target_out_of_range():
 
 @pytest.mark.parametrize("labels", [("u0",), ("u0", "u1", "u2")], ids=["fewer", "more"])
 def test_knn_rejects_a_label_count_other_than_the_row_count(labels):
-    matrix = DocTermMatrix(rows=((0,), (1,)), row_labels=labels, vocabulary=("t0",))
     with pytest.raises(BrandMatchError, match=f"^{len(labels)} row labels for 2 rows$"):
+        matrix = DocTermMatrix(rows=((0,), (1,)), row_labels=labels, vocabulary=("t0",))
         knn_match(matrix, target_index=0)
 
 

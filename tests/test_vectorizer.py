@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from brandmatch import (
+    BrandMatchError,
     ContentDocument,
     DocTermMatrix,
     EmptyCorpusError,
@@ -137,6 +139,19 @@ def test_tfidf_requires_counts_input():
     for matrix in (tfidf_transform(counts), as_floats):
         with pytest.raises(ValueError, match="^tfidf_transform expects a counts-weighted matrix$"):
             tfidf_transform(matrix)
+
+
+@pytest.mark.parametrize("rows, labels, message", [
+    (((1, 2, 3), (0, 1)), ("u0", "u1"), "^row 0 has 3 entries for 2 tokens$"),
+    (((1, 2), (0,)), ("u0", "u1"), "^row 1 has 1 entries for 2 tokens$"),
+    (((1, 2), (0, 1)), ("u0",), "^1 row labels for 2 rows$"),
+    (((1, 2), (0, 1)), ("u0", "u1", "u2"), "^3 row labels for 2 rows$"),
+    (((1.0, math.nan), (0.0, 1.0)), ("u0", "u1"), "^row matrix has a NaN or infinite entry$"),
+], ids=["long_row", "short_row", "fewer_labels", "more_labels", "nan"])
+def test_a_matrix_is_checked_when_it_is_built(rows, labels, message):
+    # so tfidf_transform, export_matrix_tsv, values and knn_match never see such a matrix
+    with pytest.raises(BrandMatchError, match=message):
+        DocTermMatrix(rows=rows, row_labels=labels, vocabulary=("aa", "bb"))
 
 
 def test_document_permutation_permutes_rows():

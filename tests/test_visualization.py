@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -193,6 +194,36 @@ def test_label_and_category_counts_must_match_the_rows(labels, categories):
 def test_texts_xml_forbids_are_rejected_naming_the_row(labels, categories, title, message):
     with pytest.raises(BrandMatchError, match=message + " a character XML 1.0 forbids$"):
         emit_scatter_svg(np.zeros((2, 2)), labels, categories, title)
+
+
+@pytest.mark.parametrize("coordinates, message", [
+    (np.array([[0.0, 1.0], [np.nan, 2.0]]), "^coordinate array has a NaN or infinite entry$"),
+    (np.array([[0.0, np.inf], [1.0, 2.0]]), "^coordinate array has a NaN or infinite entry$"),
+    ([[0.0, 1.0], [-math.inf, 2.0]], "^coordinate array has a NaN or infinite entry$"),
+    (np.zeros((2, 3)), "^expected m x 2 coordinates of numbers$"),
+    (np.zeros(2), "^expected m x 2 coordinates of numbers$"),
+    (np.zeros((2, 2, 1)), "^expected m x 2 coordinates of numbers$"),
+    ([[0.0, 1.0], [2.0]], "^expected m x 2 coordinates of numbers$"),
+    ([["0", "1"], ["2", "3"]], "^expected m x 2 coordinates of numbers$"),
+    ([[0.0, None], [2.0, 3.0]], "^expected m x 2 coordinates of numbers$"),
+    ([[0.0, 10 ** 400], [2.0, 3.0]], "^expected m x 2 coordinates of numbers$"),
+    (3.0, "^expected m x 2 coordinates of numbers$"),
+], ids=["nan", "inf", "list_-inf", "three_columns", "1-D", "3-D", "ragged_list", "strings",
+        "none", "beyond_float", "scalar"])
+def test_coordinates_other_than_finite_m_by_2_are_rejected(coordinates, message):
+    with pytest.raises(BrandMatchError, match=message):
+        emit_scatter_svg(coordinates, ("a", "b"), (None, None), "t")
+
+
+def test_coordinates_may_be_a_list_of_pairs():
+    coords, labels, categories = _embedding([[0.0, 0.25], [1.5, -2.75], [-0.5, 0.5]])
+    assert emit_scatter_svg(coords.tolist(), labels, categories, "t", target_index=1) == \
+        emit_scatter_svg(coords, labels, categories, "t", target_index=1)
+
+
+def test_an_embedding_without_rows_is_rejected():
+    with pytest.raises(ValueError, match="^embedding has no rows$"):
+        emit_scatter_svg(np.zeros((0, 2)), (), (), "t")
 
 
 def test_viewport_size_cannot_be_asked_for():

@@ -253,24 +253,19 @@ def classical_mds(*, points: np.ndarray) -> np.ndarray:
     return _fix_column_signs(coordinates)
 
 
-def smacof_refine(distances: np.ndarray, initial: np.ndarray,
-                  max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-                  return_history: bool = False):
+def smacof_refine(distances: np.ndarray, initial: np.ndarray, return_history: bool = False):
     """Stress majorization from an initial m x 2 configuration via the Guttman transform.
 
     With ``R = delta / dhat`` (0 for coincident points) the update is
     ``X <- (1/m) * (rowsum(R) * X - R * X)``, which is ``(1/m) B(X) X`` without
-    building B. Stops when the relative stress decrease falls below ``tol``;
-    after ``max_iter`` iterations without that, a RuntimeWarning reports the
-    last decrease. The returned configuration is re-centered. With
-    ``return_history`` the per-iteration stress sequence (starting at the
-    initial configuration's stress) is returned alongside.
+    building B. The budget is fixed: it stops when the relative stress decrease
+    falls below ``DEFAULT_TOL``; after ``DEFAULT_MAX_ITER`` iterations without
+    that, a RuntimeWarning reports the last decrease. The returned configuration
+    is re-centered. ``return_history``, which perfbench's tracer passes to count
+    iterations, returns the per-iteration stress sequence (starting at the
+    initial configuration's stress) alongside.
     """
     import numpy as np
-    if max_iter < 1:
-        raise ValueError("max_iter must be a positive integer")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     d = _check_distance_matrix(distances)
     m = d.shape[0]
     x = np.array(initial, dtype=np.float64, copy=True)
@@ -285,7 +280,7 @@ def smacof_refine(distances: np.ndarray, initial: np.ndarray,
     previous = _raw_stress(d, embedded)
     history = [previous]
     current = previous
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         # R overwrites the embedded distances; where dhat = 0 it keeps that 0
         ratio = np.divide(d, embedded, out=embedded, where=embedded > 0.0)
         x = (ratio.sum(axis=1)[:, np.newaxis] * x - _product(ratio, x)) / m
@@ -293,12 +288,13 @@ def smacof_refine(distances: np.ndarray, initial: np.ndarray,
         current = _raw_stress(d, embedded)
         history.append(current)
         decrease = (previous - current) / max(previous, 1e-12)
-        if decrease < tol:
+        if decrease < DEFAULT_TOL:
             break
         previous = current
     else:
-        warnings.warn(f"SMACOF stopped after {max_iter} iterations without converging: "
-                      f"relative stress decrease {decrease:.3e}, tol {tol:.3e}",
+        warnings.warn(f"SMACOF stopped after {DEFAULT_MAX_ITER} iterations without "
+                      f"converging: relative stress decrease {decrease:.3e}, "
+                      f"tol {DEFAULT_TOL:.3e}",
                       RuntimeWarning, stacklevel=2)
 
     refined = Embedding2D(coordinates=x - x.mean(axis=0), stress=current)

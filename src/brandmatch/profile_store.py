@@ -135,10 +135,10 @@ def apply_image_cap(profile: Profile, image_cap: int) -> Profile:
 def load_profile(path: str | Path, username: str) -> Profile:
     """Parse one metadata file into a Profile holding every post, videos too, in file order.
 
-    ``apply_image_cap`` keeps what a capped load would. Raises
-    MissingProfileFileError when ``path`` is not a file, and MalformedFileError
-    for any break of the format, tag labels and scores of different lengths
-    included. Unknown keys are ignored.
+    ``apply_image_cap`` keeps what a capped load would. A video's tags are checked
+    but never kept. Raises MissingProfileFileError when ``path`` is not a file, and
+    MalformedFileError for any break of the format, tag labels and scores of
+    different lengths included. Unknown keys are ignored.
     """
     with _collector_paused():
         return _build_profile(username, _read_posts(Path(path), username, None), None, {})
@@ -218,8 +218,8 @@ def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tup
 
             keep = image_cap is None or (not is_video and len(posts) < image_cap)
             predictions = []
-            contents = None if is_video else raw.get("image_contents")
-            scores = None if is_video else raw.get("image_scores")
+            contents = raw.get("image_contents")
+            scores = raw.get("image_scores")
             if contents is not None or scores is not None:
                 if contents is None:
                     contents = []
@@ -242,7 +242,7 @@ def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tup
                         raise MalformedFileError("image_scores entry is not a number")
                     confidence = float(score)
                     _check_tag(label, confidence)
-                    if keep:
+                    if keep and not is_video:  # checked, but a video keeps no tags
                         predictions.append((label, confidence))
                 if scores != sorted(scores, reverse=True):
                     raise MalformedFileError("image_scores not sorted non-increasing")
@@ -331,19 +331,19 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
 
 def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
                      target_username: Optional[str] = None,
-                     image_cap: Optional[int] = DEFAULT_IMAGE_CAP) -> ProfileSet:
+                     image_cap: int = DEFAULT_IMAGE_CAP) -> ProfileSet:
     """Load every listed profile from ``metadata_dir`` in user-list order.
 
     The optional per-line category annotates each profile for plotting.
-    ``image_cap`` defaults to the upstream pipeline's 50-image analysis window, and
-    ``None`` keeps every post. An ``image_cap`` below 1 raises ValueError before the list
-    is read, and a target missing from it UnknownTargetError before any file is loaded.
+    ``image_cap`` defaults to the upstream pipeline's 50-image analysis window; an
+    ``image_cap`` below 1 raises ValueError before the list is read, and a target
+    missing from it UnknownTargetError before any file is loaded.
 
     With two usable CPUs a forked child reads the second half of the list and sends its
     profiles back one at a time; if it dies partway, this process reads only the
     profiles it did not send.
     """
-    if image_cap is not None and image_cap < 1:
+    if image_cap < 1:
         raise ValueError("image_cap must be a positive integer")
     entries = parse_user_list(user_list_path)
     usernames = [username for username, _ in entries]

@@ -116,10 +116,11 @@ def tfidf_transform(matrix: DocTermMatrix) -> DocTermMatrix:
     """Reweight a count matrix by smoothed idf, then L2-normalize nonzero rows.
 
     All-zero rows stay all-zero. idf is non-increasing in document frequency,
-    so widely shared tokens are down-weighted.
+    so widely shared tokens are down-weighted. A matrix of other than ints
+    raises BrandMatchError.
     """
     if not set(map(type, chain.from_iterable(matrix.rows))) <= {int}:
-        raise ValueError("tfidf_transform expects a counts-weighted matrix")
+        raise BrandMatchError("tfidf_transform expects a counts-weighted matrix")
     m, width = len(matrix.rows), len(matrix.vocabulary)
     nonzero_rows = [list(compress(range(width), row)) for row in matrix.rows]
     df = Counter(j for row, nonzero in zip(matrix.rows, nonzero_rows)

@@ -101,13 +101,13 @@ def emit_scatter_svg(coordinates: Sequence[Sequence[float]], labels: Sequence[st
     Categories take palette colors in order of first appearance, skipping the
     target row; the legend lists them in that order, then the target. When the
     star is drawn, other rows of category ``target`` share its gold and its legend row.
-    Coordinates other than finite m x 2 numbers, or a text holding a character
-    XML 1.0 forbids, raise BrandMatchError (the latter naming its row).
+    No rows, coordinates other than finite m x 2 numbers, or a text holding a
+    character XML 1.0 forbids raise BrandMatchError (the latter naming its row).
     """
     points = _finite_points(coordinates)
     m = len(points)
     if m < 1:
-        raise ValueError("embedding has no rows")
+        raise BrandMatchError("embedding has no rows")
     if len(labels) != m or len(categories) != m:
         raise BrandMatchError(f"{len(labels)} labels, {len(categories)} categories for {m} rows")
     if _NOT_IN_XML.search(title):

@@ -138,18 +138,19 @@ def test_criterion_3_mds_recovery():
         assert relative.max() < 1e-6
 
 
-# max_iter=150 with tol=1e-10 stops some runs at the cap, which warns by design
+# a cap of 150 with a tolerance of 1e-10 stops some runs at the cap, which warns by design
 @pytest.mark.filterwarnings("ignore:SMACOF stopped after:RuntimeWarning")
 @criterion(4, "SMACOF stress never increases")
-def test_criterion_4_smacof_monotonicity():
+def test_criterion_4_smacof_monotonicity(monkeypatch):
+    monkeypatch.setattr(brandmatch.embedding, "DEFAULT_MAX_ITER", 150)
+    monkeypatch.setattr(brandmatch.embedding, "DEFAULT_TOL", 1e-10)
     rng = np.random.RandomState(99)
     for _ in range(100):
         m = int(rng.randint(4, 16))
         points = rng.rand(m, 5)
         distances = pairwise_distances(points)
         initial = classical_mds(points=points)
-        refined, history = smacof_refine(distances, initial, max_iter=150,
-                                         tol=1e-10, return_history=True)
+        refined, history = smacof_refine(distances, initial, return_history=True)
         for before, after in zip(history, history[1:]):
             assert after <= before + 1e-12
         assert history[-1] <= history[0] + 1e-12

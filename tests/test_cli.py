@@ -4,7 +4,6 @@ import argparse
 import ast
 import builtins
 import errno
-import functools
 import gc
 import json
 import os
@@ -67,6 +66,14 @@ def test_validate_all_ok(fixture_dir, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "validated 26 profiles: 26 ok, 0 warnings, 0 errors" in out
+
+
+def test_validate_target_not_in_user_list(fixture_dir, capsys):
+    code = main(["validate", *_pipeline_args(fixture_dir, "--target", "nobody")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_FAILURE
+    assert lines[-2:] == ["nobody\tERROR: target not in user list",
+                          "validated 26 profiles: 26 ok, 0 warnings, 1 errors"]
 
 
 def test_validate_missing_file_names_user(tmp_path, capsys):
@@ -278,8 +285,7 @@ def test_embed_single_profile_exits_too_few_profiles(tmp_path, capsys):
 
 def test_embed_smacof_cap_warns_without_changing_exit(fixture_dir, tmp_path, capsys,
                                                      monkeypatch):
-    monkeypatch.setattr(cli, "smacof_refine",
-                        functools.partial(embedding.smacof_refine, max_iter=1))
+    monkeypatch.setattr(embedding, "DEFAULT_MAX_ITER", 1)
     code = main(["embed", *_pipeline_args(fixture_dir, "--target", "dogs_brand",
                                           "--embedding", str(tmp_path / "e.tsv"),
                                           "--plot", str(tmp_path / "p.svg"))])

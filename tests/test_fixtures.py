@@ -166,6 +166,8 @@ def test_spec_validation():
         generate_profile_set(FixtureSpec(users_per_category=0))
     with pytest.raises(ValueError):
         generate_profile_set(FixtureSpec(categories=(("aa", POOL_A[:5]),)))
+    with pytest.raises(ValueError, match="^at least one category is required$"):
+        generate_profile_set(FixtureSpec(categories=()))
 
 
 def test_prng_stream_properties():

@@ -26,7 +26,7 @@ from brandmatch import (
     save_profile,
 )
 from brandmatch.cli import main
-from brandmatch.errors import EXIT_MALFORMED
+from brandmatch.errors import EXIT_FAILURE, EXIT_MALFORMED
 from helpers import image_post, video_post, write_profile_file, write_user_list
 
 
@@ -42,11 +42,13 @@ def test_load_single_image_post(tmp_path):
 
 
 def test_load_video_post_has_no_predictions(tmp_path):
-    write_profile_file(tmp_path, "vid", [video_post()])
+    tagged = {**video_post(), "image_contents": ["dog"], "image_scores": [0.9]}
+    write_profile_file(tmp_path, "vid", [video_post(), tagged])
     profile = load_profile(tmp_path / "vid.json", "vid")
-    assert len(profile.posts) == 1
-    assert profile.posts[0].is_video
-    assert profile.posts[0].tag_predictions == ()
+    assert len(profile.posts) == 2
+    assert all(post.is_video for post in profile.posts)
+    # a video's well-formed tags are checked, then dropped
+    assert [post.tag_predictions for post in profile.posts] == [(), ()]
 
 
 def test_score_length_mismatch_rejected(tmp_path):
@@ -99,28 +101,46 @@ def test_scores_must_be_sorted_non_increasing(tmp_path):
         load_profile(tmp_path / "u.json", "u")
 
 
-def test_post_errors_name_user_and_post_once(tmp_path):
+def test_post_errors_name_user_and_post_once(tmp_path, capsys):
     cases = [
         ({"image_contents": ["  "], "image_scores": [0.5]}, MalformedFileError,
          "tag label is empty"),
         ({"image_contents": ["dog"], "image_scores": [1.5]}, MalformedFileError,
          "confidence 1.5 outside [0, 1]"),
         ({"image_contents": ["dog"], "image_scores": [10 ** 400]}, MalformedFileError,
-         "too large"),
+         "int too large to convert to float"),
         ({"image_contents": ["dog"], "image_scores": [True]}, MalformedFileError,
          "image_scores entry is not a number"),
         ({"edge_media_to_comment": {"count": -1}}, MalformedFileError,
          "edge_media_to_comment.count is negative"),
         ({"image_contents": ["dog", "cat"], "image_scores": [0.5]}, MalformedFileError,
          "2 image_contents vs 1 image_scores"),
+        ({"edge_media_to_caption": {"edges": {}}}, MalformedFileError,
+         "caption edges is not an array"),
+        ({"edge_media_to_caption": {"edges": ["text"]}}, MalformedFileError,
+         "caption edge is not an object"),
+        ({"urls": ["a.jpg", 7]}, MalformedFileError, "urls is not an array of strings"),
+        ({"image_contents": ["dog", 7], "image_scores": [0.9, 0.5]}, MalformedFileError,
+         "image_contents entry is not a string"),
+        # a video keeps no tags, but they are checked like any post's
+        ({**video_post(), "image_contents": 7}, MalformedFileError,
+         "image_contents is not an array"),
+        ({**video_post(), "image_contents": ["dog"], "image_scores": [1.5]},
+         MalformedFileError, "confidence 1.5 outside [0, 1]"),
     ]
+    write_profile_file(tmp_path, "brand", [image_post(["dog"], [0.9])])
+    users = write_user_list(tmp_path, ["brand", "u"])
+    inputs = ["--users", str(users), "--metadata", str(tmp_path)]
     for bad_post, error_type, detail in cases:
         write_profile_file(tmp_path, "u", [image_post(["dog"], [0.9]), bad_post])
         with pytest.raises(error_type) as excinfo:
             load_profile(tmp_path / "u.json", "u")
         message = str(excinfo.value)
-        assert message.startswith("u: post 1: ") and message.count("post 1") == 1
-        assert detail in message
+        assert message == f"u: post 1: {detail}"
+        assert main(["match", *inputs, "--target", "brand"]) == EXIT_MALFORMED
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["validate", *inputs]) == EXIT_FAILURE
+        assert f"u\tERROR: {message}\n" in capsys.readouterr().out
 
 
 def test_user_list_errors(tmp_path):
@@ -276,7 +296,8 @@ def test_any_json_value_loads_or_raises_a_package_error(property_dir, value, ima
     path = property_dir / "u.json"
     path.write_text(json.dumps(value), encoding="utf-8")
     try:
-        profile = _capped_load(property_dir, "u", image_cap)
+        profile = (load_profile(path, "u") if image_cap is None
+                   else _capped_load(property_dir, "u", image_cap))
     except BrandMatchError as capped:
         # posts the cap drops are checked all the same: the uncapped load fails alike
         with pytest.raises(BrandMatchError) as uncapped:

@@ -42,6 +42,8 @@ def test_vocabulary_single_doc_dedupes():
 def test_vocabulary_empty_corpus():
     with pytest.raises(EmptyCorpusError):
         build_vocabulary(_docs([], []))
+    with pytest.raises(EmptyCorpusError, match="^vocabulary is empty$"):
+        count_vectorize(_docs(["dog"]), ())
 
 
 def test_count_vectorize_hand_example():
@@ -137,7 +139,8 @@ def test_tfidf_requires_counts_input():
                               row_labels=counts.row_labels, vocabulary=counts.vocabulary)
     assert as_floats.values.dtype == np.float64
     for matrix in (tfidf_transform(counts), as_floats):
-        with pytest.raises(ValueError, match="^tfidf_transform expects a counts-weighted matrix$"):
+        with pytest.raises(BrandMatchError,
+                           match="^tfidf_transform expects a counts-weighted matrix$"):
             tfidf_transform(matrix)
 
 

@@ -222,7 +222,7 @@ def test_coordinates_may_be_a_list_of_pairs():
 
 
 def test_an_embedding_without_rows_is_rejected():
-    with pytest.raises(ValueError, match="^embedding has no rows$"):
+    with pytest.raises(BrandMatchError, match="^embedding has no rows$"):
         emit_scatter_svg(np.zeros((0, 2)), (), (), "t")
 
 

@@ -23,7 +23,7 @@ class BrandMatchError(Exception):
 
 
 class MissingProfileFileError(BrandMatchError):
-    """A user list or a listed username's metadata file is absent, or is a directory."""
+    """A user list or a listed username's metadata file cannot be read, whatever the reason."""
     exit_code = EXIT_MISSING_INPUT
 
 

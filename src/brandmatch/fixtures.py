@@ -91,6 +91,8 @@ def _validate_spec(spec: FixtureSpec) -> None:
         raise ValueError("users_per_category and posts_per_user must be positive")
     if not spec.categories:
         raise ValueError("at least one category is required")
+    if len(dict(spec.categories)) < len(spec.categories):
+        raise ValueError("category names must be distinct")
     seen: dict[str, str] = {}
     for name, pool in spec.categories:
         if len(pool) < 8:

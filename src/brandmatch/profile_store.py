@@ -136,9 +136,9 @@ def load_profile(path: str | Path, username: str) -> Profile:
     """Parse one metadata file into a Profile holding every post, videos too, in file order.
 
     ``apply_image_cap`` keeps what a capped load would. A video's tags are checked
-    but never kept. Raises MissingProfileFileError when ``path`` is not a file, and
-    MalformedFileError for any break of the format, tag labels and scores of
-    different lengths included. Unknown keys are ignored.
+    but never kept. Raises MissingProfileFileError when ``path`` cannot be read, whatever
+    the OS's reason, and MalformedFileError for any break of the format, tag labels and
+    scores of different lengths included. Unknown keys are ignored.
     """
     with _collector_paused():
         return _build_profile(username, _read_posts(Path(path), username, None), None, {})
@@ -177,19 +177,21 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"{name} is not a JSON value")
 
 
+def _read_input(path: Path, name: str) -> str:
+    """The file's strict UTF-8 text, CR and CRLF read as LF; an unreadable file is missing."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MissingProfileFileError(f"{name}: cannot read {path}: {exc.strerror}") from None
+
+
 def _read_posts(path: Path, username: str, image_cap: Optional[int]) -> list[tuple]:
     """Decode and check one file; each kept post as ``Post``'s fields, tags as pairs.
 
     The tags and hashtags stay lists: ``_build_profile`` makes the tuples.
     """
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            data = json.load(handle, parse_constant=_reject_constant)
-    except (FileNotFoundError, NotADirectoryError):
-        raise MissingProfileFileError(f"{username}: no metadata file at {path}") from None
-    except IsADirectoryError:
-        raise MissingProfileFileError(f"{username}: {path} is a directory, "
-                                      "not a metadata file") from None
+        data = json.loads(_read_input(path, username), parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
         raise MalformedFileError(f"{username}: invalid JSON in {path}: {exc}") from None
     if type(data) is not list:
@@ -288,7 +290,7 @@ def _check_plot_label(kind: str, text: str) -> None:
 def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
     """Read ``username[,category]`` lines; ``#`` comments and blank lines are skipped.
 
-    Raises MissingProfileFileError when the file is absent or is a directory,
+    Raises MissingProfileFileError when the file cannot be read, whatever the OS's reason,
     and MalformedFileError when it is not UTF-8, a username breaks the
     ``check_username`` rule or is repeated, or a category holds a tab, a line break or
     a character XML 1.0 forbids. Lines end only at LF, CR or CRLF; spaces and tabs
@@ -297,15 +299,10 @@ def parse_user_list(path: str | Path) -> list[tuple[str, Optional[str]]]:
     entries: list[tuple[str, Optional[str]]] = []
     seen: set[str] = set()
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (FileNotFoundError, NotADirectoryError):
-        raise MissingProfileFileError(f"user list not found: {path}") from None
-    except IsADirectoryError:
-        raise MissingProfileFileError(f"user list {path} is a directory") from None
+        text = _read_input(Path(path), "user list").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"user list {path} is not UTF-8: {exc}") from None
-    # read_text has turned CR and CRLF into LF; str.splitlines would also split at the
-    # line breaks the name rules reject
+    # str.splitlines would also split at the line breaks the name rules reject
     for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip(" \t")
         if not line or line.startswith("#"):
@@ -334,10 +331,10 @@ def load_profile_set(user_list_path: str | Path, metadata_dir: str | Path,
                      image_cap: int = DEFAULT_IMAGE_CAP) -> ProfileSet:
     """Load every listed profile from ``metadata_dir`` in user-list order.
 
-    The optional per-line category annotates each profile for plotting.
-    ``image_cap`` defaults to the upstream pipeline's 50-image analysis window; an
-    ``image_cap`` below 1 raises ValueError before the list is read, and a target
-    missing from it UnknownTargetError before any file is loaded.
+    The optional per-line category annotates each profile for plotting. ``image_cap``
+    defaults to the upstream pipeline's 50-image analysis window. Raises ValueError for an
+    ``image_cap`` below 1 before the list is read, UnknownTargetError for a target missing
+    from it before any file is loaded, and MissingProfileFileError for an unreadable file.
 
     With two usable CPUs a forked child reads the second half of the list and sends its
     profiles back one at a time; if it dies partway, this process reads only the

@@ -552,12 +552,15 @@ def _single_error_line(err):
 
 def test_missing_user_list_same_message_for_every_command(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
-    for command in ("validate", "match", "embed"):
-        code = main([command, "--users", str(missing), "--metadata", str(tmp_path),
-                     "--target", "a", *_output_args(command, tmp_path)])
-        assert code == EXIT_MISSING_INPUT
-        assert (_single_error_line(capsys.readouterr().err)
-                == f"error: user list not found: {missing}")
+    loop = tmp_path / "loop.txt"
+    loop.symlink_to(loop.name)
+    for users, number in ((missing, errno.ENOENT), (loop, errno.ELOOP)):
+        for command in ("validate", "match", "embed"):
+            code = main([command, "--users", str(users), "--metadata", str(tmp_path),
+                         "--target", "a", *_output_args(command, tmp_path)])
+            assert code == EXIT_MISSING_INPUT
+            assert (_single_error_line(capsys.readouterr().err)
+                    == f"error: user list: cannot read {users}: {os.strerror(number)}")
 
 
 def test_user_list_not_utf8_exits_malformed(tmp_path, capsys):
@@ -628,25 +631,46 @@ def test_directory_given_as_user_list_exits_missing_input(tmp_path, capsys):
                      "--target", "a", *_output_args(command, tmp_path)])
         assert code == EXIT_MISSING_INPUT
         assert (_single_error_line(capsys.readouterr().err)
-                == f"error: user list {tmp_path} is a directory")
+                == f"error: user list: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}")
 
 
-def test_directory_given_as_metadata_file(tmp_path, capsys):
+def _unreadable_metadata_file(directory, how):
+    """A username whose metadata file in ``directory`` cannot be read, and the OS's errno."""
+    if how == "name too long":
+        return "c" * 300, errno.ENAMETOOLONG
+    path = directory / "carol.json"
+    if how == "directory":
+        path.mkdir()
+        return "carol", errno.EISDIR
+    if how == "symlink loop":
+        path.symlink_to(path.name)
+        return "carol", errno.ELOOP
+    write_profile_file(directory, "carol", [image_post(["dog"], [0.9])])
+    path.chmod(0)
+    return "carol", errno.EACCES
+
+
+@pytest.mark.parametrize("how", [
+    "directory", "symlink loop", "name too long",
+    # root reads a file whatever its mode; CI's runner is not root
+    pytest.param("no permission", marks=pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0, reason="root can read any file"))])
+def test_directory_given_as_metadata_file(how, tmp_path, capsys):
     write_profile_file(tmp_path, "alice", [image_post(["dog"], [0.9])])
     write_profile_file(tmp_path, "bob", [image_post(["cat"], [0.8])])
-    (tmp_path / "carol.json").mkdir()
-    users = write_user_list(tmp_path, ["alice", "bob", "carol"])
-    message = f"carol: {tmp_path / 'carol.json'} is a directory, not a metadata file"
+    carol, number = _unreadable_metadata_file(tmp_path, how)
+    users = write_user_list(tmp_path, ["alice", carol, "bob"])
+    message = f"{carol}: cannot read {tmp_path / f'{carol}.json'}: {os.strerror(number)}"
     for command in ("match", "embed"):
         code = main([command, "--users", str(users), "--metadata", str(tmp_path),
                      "--target", "alice", *_output_args(command, tmp_path)])
         assert code == EXIT_MISSING_INPUT
         assert _single_error_line(capsys.readouterr().err) == f"error: {message}"
     code = main(["validate", "--users", str(users), "--metadata", str(tmp_path)])
-    out = capsys.readouterr().out.splitlines()
     assert code == EXIT_FAILURE
-    assert out[2] == f"carol\tERROR: {message}"
-    assert out[-1] == "validated 3 profiles: 2 ok, 0 warnings, 1 errors"
+    assert capsys.readouterr().out.splitlines() == [
+        "alice\tposts=1\timages=1\tok", f"{carol}\tERROR: {message}",
+        "bob\tposts=1\timages=1\tok", "validated 3 profiles: 2 ok, 0 warnings, 1 errors"]
 
 
 def test_file_given_as_metadata_directory_exits_missing_input(tmp_path, capsys):
@@ -654,8 +678,8 @@ def test_file_given_as_metadata_directory_exits_missing_input(tmp_path, capsys):
     code = main(["match", "--users", str(users), "--metadata", str(users),
                  "--target", "alice"])
     assert code == EXIT_MISSING_INPUT
-    assert (_single_error_line(capsys.readouterr().err)
-            == f"error: alice: no metadata file at {users / 'alice.json'}")
+    assert (_single_error_line(capsys.readouterr().err) == f"error: alice: cannot read "
+            f"{users / 'alice.json'}: {os.strerror(errno.ENOTDIR)}")
 
 
 @pytest.mark.parametrize("username", ["../outside/evil", "sub/evil", "back\\slash", ".", "..",
@@ -866,6 +890,14 @@ def test_user_list_ignores_a_leading_byte_order_mark(tmp_path, capsys):
     assert main(["match", "--users", str(users), "--metadata", str(tmp_path),
                  "--target", "brand"]) == EXIT_OK
     assert "1\tdogs_01\t0.000000\n" in capsys.readouterr().out
+    # a metadata file is JSON, which has no byte-order mark
+    brand = tmp_path / "brand.json"
+    brand.write_bytes(b"\xef\xbb\xbf" + brand.read_bytes())
+    assert main(["match", "--users", str(users), "--metadata", str(tmp_path),
+                 "--target", "brand"]) == EXIT_MALFORMED
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"error: brand: invalid JSON in {brand}: Unexpected UTF-8 BOM "
+        "(decode using utf-8-sig): line 1 column 1 (char 0)")
 
 
 def _formats_exit_codes() -> dict[str, list[int]]:

@@ -168,6 +168,11 @@ def test_spec_validation():
         generate_profile_set(FixtureSpec(categories=(("aa", POOL_A[:5]),)))
     with pytest.raises(ValueError, match="^at least one category is required$"):
         generate_profile_set(FixtureSpec(categories=()))
+    repeated = FixtureSpec(categories=(("aa", POOL_A), ("aa", POOL_B)))
+    with pytest.raises(ValueError, match="^category names must be distinct$"):
+        generate_profile_set(repeated)
+    with pytest.raises(ValueError, match="^category names must be distinct$"):
+        generate_brand_profile(repeated, "aa", "aa_brand")
 
 
 def test_prng_stream_properties():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import copy
+import errno
 import gc
 import json
+import os
 import pickle
 from dataclasses import FrozenInstanceError, replace
 
@@ -144,8 +146,10 @@ def test_post_errors_name_user_and_post_once(tmp_path, capsys):
 
 
 def test_user_list_errors(tmp_path):
-    with pytest.raises(MissingProfileFileError, match="user list not found"):
+    with pytest.raises(MissingProfileFileError) as excinfo:
         parse_user_list(tmp_path / "nope.txt")
+    assert str(excinfo.value) == (f"user list: cannot read {tmp_path / 'nope.txt'}: "
+                                  f"{os.strerror(errno.ENOENT)}")
     (tmp_path / "users.txt").write_bytes(b"\xff\xfe bad\n")
     with pytest.raises(MalformedFileError, match="not UTF-8"):
         parse_user_list(tmp_path / "users.txt")

@@ -30,7 +30,7 @@ from helpers import image_post, write_profile_file, write_user_list
 # whose bits == does not fully compare
 LABELS = ["\U0001F355 pizza", "lone \udc80 surrogate", "plate", "crust"]
 SCORES = [0.1 + 0.2, 0.0, -0.0, -0.0]
-DEFECTS = ("malformed past the cap", "missing file", "directory")
+DEFECTS = ("malformed past the cap", "missing file", "directory", "symlink loop")
 
 
 def _write_case(directory, m, defect=None, position=None):
@@ -43,6 +43,8 @@ def _write_case(directory, m, defect=None, position=None):
             posts[3]["image_scores"] = [1.5]
         if i == position and defect == "directory":
             (directory / f"{name}.json").mkdir()
+        elif i == position and defect == "symlink loop":
+            (directory / f"{name}.json").symlink_to(f"{name}.json")
         elif not (i == position and defect == "missing file"):
             write_profile_file(directory, name, posts)
     return write_user_list(directory, [(name, "pizza") for name in names])
